@@ -111,37 +111,50 @@ def _normalized(domain: QuadratureDomain) -> QuadratureDomain:
 
 
 def _load_inputs(paths: list[str], domain_path: str | None, normalize: bool):
+    """Load density files onto one shared domain.
+
+    The shared domain is ``domain_path`` when given, else the first file's.
+    Every file that names a domain must name one with the same weights.  A
+    domain file is read once per command, however many density files name
+    it.  Density files are parsed, checked and converted one at a time, so
+    only one parsed document is held at once.
+    """
     from .quadrature import domain_from_dict
+
+    domains: dict[str, QuadratureDomain] = {}
+
+    def named_domain(path: str) -> QuadratureDomain:
+        if path not in domains:
+            domains[path] = load_domain(path)
+        return domains[path]
 
     def file_domain(obj: dict) -> QuadratureDomain | None:
         entry = obj.get("domain")
         if entry is None:
             return None
-        return load_domain(entry) if isinstance(entry, str) else domain_from_dict(entry)
+        return named_domain(entry) if isinstance(entry, str) else domain_from_dict(entry)
 
-    objs = []
+    base = named_domain(domain_path) if domain_path else None
+    domain = None
+    points = []
     for p in paths:
         try:
-            objs.append(json.loads(Path(p).read_text()))
+            obj = json.loads(Path(p).read_text())
         except json.JSONDecodeError as exc:
             raise ValueError(f"{p}: invalid JSON ({exc})") from exc
-    if domain_path:
-        base = load_domain(domain_path)
-    else:
-        base = file_domain(objs[0])
-        if base is None:
-            raise ValueError(f"{paths[0]} carries no domain; pass one with --domain")
-    for path, obj in zip(paths, objs):
         own = file_domain(obj)
-        if own is not None and not np.array_equal(own.weights, base.weights):
-            raise ValueError(f"{path} carries a domain different from the shared one")
-    domain = _normalized(base) if normalize else base
-    points = []
-    for path, obj in zip(paths, objs):
+        if base is None:
+            if own is None:
+                raise ValueError(f"{p} carries no domain; pass one with --domain")
+            base = own
+        elif own is not None and own is not base and not np.array_equal(own.weights, base.weights):
+            raise ValueError(f"{p} carries a domain different from the shared one")
+        if domain is None:
+            domain = _normalized(base) if normalize else base
         try:
             points.append(load_density(obj, domain=domain))
         except (ValueError, GeometryError) as exc:
-            raise ValueError(f"{path}: {exc}") from exc
+            raise ValueError(f"{p}: {exc}") from exc
     return domain, points
 
 

@@ -46,7 +46,12 @@ from .space import (
     random_tangent,
 )
 
-__all__ = ["finite_difference_curvature", "random_admissible_tangent", "run_report"]
+__all__ = [
+    "finite_difference_curvature",
+    "immersion_isometry_error",
+    "random_admissible_tangent",
+    "run_report",
+]
 
 
 def random_admissible_tangent(
@@ -65,6 +70,19 @@ def random_admissible_tangent(
     bound = rho * arccot(-rho * float(np.min(unit)) / 2.0)
     scale = fill * rng.uniform(0.05, 1.0) * bound / n
     return TangentVector(u0, scale * raw.values)
+
+
+def immersion_isometry_error(u0: ConformalFactor, t1: TangentVector, t2: TangentVector) -> float:
+    """Gap between the pulled-back sphere product of two tangents and their
+    metric product <t1, t2>_u.
+
+    The gap is relative to |t1|_u |t2|_u, the Cauchy-Schwarz bound on the
+    product, not to the product itself: rounding in both integrals scales
+    with the norms, so near-orthogonal tangents would otherwise inflate it.
+    """
+    pulled = integrate(u0.domain, pushforward(u0, t1) * pushforward(u0, t2))
+    direct = inner(u0, t1, t2)
+    return abs(pulled - direct) / max(norm(u0, t1) * norm(u0, t2), 1e-300)
 
 
 def finite_difference_curvature(
@@ -223,9 +241,7 @@ def run_report(domain: QuadratureDomain, seed: int = 0) -> dict:
     # immersion isometry and transport cross-check
     t1 = random_tangent(u0, rng)
     t2 = random_tangent(u0, rng)
-    pulled = integrate(domain, pushforward(u0, t1) * pushforward(u0, t2))
-    direct = inner(u0, t1, t2)
-    rel = abs(pulled - direct) / max(abs(direct), 1e-300)
+    rel = immersion_isometry_error(u0, t1, t2)
     report["immersion_isometry_rel_err"] = rel
     check("immersion_isometry", rel <= 1e-13)
     norm_sq = integrate(domain, immerse(u0).values ** 2)

@@ -147,6 +147,50 @@ def test_distance_of_identical_inputs_is_zero(tmp_path, capsys):
     assert payload["matrix"][0][1] == 0.0
 
 
+def write_shared_domain_files(tmp_path, count):
+    domain_path = tmp_path / "domain.json"
+    domain_path.write_text(json.dumps({"weights": [1.0 / 64] * 16}))
+    rng = np.random.default_rng(7)
+    paths = []
+    for i in range(count):
+        p = tmp_path / f"d{i}.json"
+        dens = np.exp(0.3 * rng.standard_normal(16))
+        p.write_text(json.dumps({"domain": str(domain_path), "density": dens.tolist()}))
+        paths.append(str(p))
+    return paths
+
+
+def test_distance_reads_a_shared_domain_file_once(tmp_path, monkeypatch, capsys):
+    paths = write_shared_domain_files(tmp_path, 5)
+    calls = []
+    real = cli.load_domain
+
+    def counting(path):
+        calls.append(path)
+        return real(path)
+
+    monkeypatch.setattr(cli, "load_domain", counting)
+    assert cli.main(["distance", *paths, "--json"]) == 0
+    assert len(calls) == 1
+    matrix = np.array(json.loads(capsys.readouterr().out)["matrix"])
+    assert matrix.shape == (5, 5)
+    assert np.all(matrix[~np.eye(5, dtype=bool)] > 0.0)
+
+
+@pytest.mark.parametrize("inline", [True, False])
+def test_later_file_with_a_different_domain_is_rejected(tmp_path, capsys, inline):
+    paths = write_shared_domain_files(tmp_path, 3)
+    other_domain = {"weights": [1.0 / 32] * 16}
+    if not inline:
+        other_path = tmp_path / "other_domain.json"
+        other_path.write_text(json.dumps(other_domain))
+        other_domain = str(other_path)
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps({"domain": other_domain, "u": [0.0] * 16}))
+    assert cli.main(["distance", paths[0], paths[1], str(other), paths[2]]) == cli.EXIT_INPUT
+    assert "other.json carries a domain different" in capsys.readouterr().err
+
+
 def test_normalize_flag_rescales_volume(tmp_path, capsys):
     domain = {"weights": [0.5, 0.5]}  # vol 1, radius 2
     a = tmp_path / "a.json"

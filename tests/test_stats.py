@@ -73,11 +73,37 @@ def test_mean_residual_is_small(rng, d16):
     assert norm(mean, resid_vec) <= 1e-10
 
 
+def test_mean_converges_where_every_density_underflows_at_a_node(rng, d64):
+    # At u = -1600, e^u and e^(u/2) are both exactly 0.0 in double precision.
+    pts = []
+    for _ in range(3):
+        raw = 0.5 * rng.standard_normal(64)
+        raw[0] = -1600.0
+        pts.append(project_to_space(d64, raw))
+    mean = karcher_mean(DensitySet(pts), tol=1e-12)
+    assert np.all(np.isfinite(mean.values)) and mean.values[0] < -1500.0
+    resid = sum(log_map(mean, p).values for p in pts) / 3.0
+    assert np.sqrt(integrate(d64, resid**2 * np.exp(mean.values))) <= 1e-11
+    pair_mean = karcher_mean(DensitySet(pts[:2]), tol=1e-12)
+    seg, t0 = geodesic_dirichlet(pts[0], pts[1])
+    assert np.allclose(pair_mean.values, evaluate(seg, t0 / 2.0).values, atol=1e-10)
+
+
 def test_mean_is_permutation_invariant_bitwise(rng, d16):
     pts = [random_point(d16, rng, amplitude=0.5) for _ in range(4)]
     mean_a = karcher_mean(DensitySet(list(pts)))
     mean_b = karcher_mean(DensitySet([pts[2], pts[0], pts[3], pts[1]]))
     assert np.array_equal(mean_a.values, mean_b.values)
+
+
+def test_mean_is_permutation_invariant_bitwise_on_many_points(rng, d16):
+    pts = [random_point(d16, rng, amplitude=0.5) for _ in range(32)]
+    weights = rng.uniform(0.5, 1.5, 32)
+    weights /= weights.sum()
+    mean = karcher_mean(DensitySet(pts, weights=weights))
+    for order in (np.arange(32)[::-1], rng.permutation(32)):
+        permuted = DensitySet([pts[i] for i in order], weights=weights[order])
+        assert np.array_equal(karcher_mean(permuted).values, mean.values)
 
 
 def test_mean_respects_weights(rng, d16):
@@ -99,7 +125,7 @@ def test_mean_rejects_spread_inputs(d64):
     u_a = project_to_space(d64, np.log(a))
     u_b = project_to_space(d64, np.log(b))
     assert distance(u_a, u_b).d > 0.5 * math.pi - 1e-3
-    with pytest.raises(DomainMismatchError, match="apart"):
+    with pytest.raises(DomainMismatchError, match="densities 0 and 1 are .* apart"):
         karcher_mean(DensitySet([u_a, u_b]))
 
 
@@ -120,6 +146,14 @@ def test_distance_matrix_worked_pair(d2):
     m = distance_matrix(DensitySet([u0, u1]))
     assert m[0, 0] == m[1, 1] == 0.0
     assert m[0, 1] == m[1, 0] == pytest.approx(PI_12, abs=1e-14)
+
+
+def test_distance_matrix_matches_pairwise_distance(rng, d64):
+    pts = [random_point(d64, rng, amplitude=0.6) for _ in range(12)]
+    m = distance_matrix(DensitySet(pts))
+    for i, a in enumerate(pts):
+        for j, b in enumerate(pts):
+            assert abs(m[i, j] - distance(a, b).d) <= 1e-14
 
 
 def test_distance_matrix_triangle_inequality(rng, d16):
