@@ -13,6 +13,13 @@ and all log maps at a point from one array expression.
 The mean puts its inputs in an order fixed by their bits before summing
 over them, so its result is bitwise invariant under permutation of the
 inputs.
+
+The products over the stacked fields are written with ``np.einsum``, which
+runs on the calling thread.  As ``@`` they go to BLAS, whose thread pool
+wakes for every (k, N) product and keeps spinning after it.  On a 2-CPU
+host with OpenBLAS 0.3.31, ``calabi distance`` plus ``calabi mean`` over 64
+densities on 4096 nodes then took 1.4 CPU-seconds per wall-second, and the
+64 x 64 Gram matrix, 2 ms on one thread, once took 40 ms.
 """
 
 from __future__ import annotations
@@ -82,7 +89,7 @@ def _pair_distances(dset: DensitySet, half: np.ndarray):
     """
     dom = dset.domain
     pairs = np.triu_indices(len(dset), 1)
-    cosine = ((half * dom.weights) @ half.T)[pairs] / dom.vol
+    cosine = np.einsum("ik,jk->ij", half * dom.weights, half)[pairs] / dom.vol
     d = dom.radius * np.arccos(np.clip(cosine, -1.0, 1.0))
     d[cosine >= 1.0 - COINCIDENCE_TOL] = 0.0
     return pairs, d
@@ -116,7 +123,7 @@ def _weighted_mean_tangent(
     logs = np.add(fields, u.values)
     logs *= 0.5
     np.exp(logs, out=logs)
-    cosine = logs @ dom.weights / dom.vol
+    cosine = np.einsum("ij,j->i", logs, dom.weights) / dom.vol
     theta = np.arccos(np.clip(cosine, -1.0, 1.0))
     coeff = np.divide(
         2.0 * weights * theta,
@@ -128,7 +135,7 @@ def _weighted_mean_tangent(
     logs *= 0.5
     np.exp(logs, out=logs)
     logs -= cosine[:, None]
-    return TangentVector(u, coeff @ logs)
+    return TangentVector(u, np.einsum("i,ij->j", coeff, logs))
 
 
 def karcher_mean(
@@ -155,7 +162,7 @@ def karcher_mean(
         )
 
     fields, weights = _canonical_rows(dset)
-    current = project_to_space(dset.domain, weights @ fields)
+    current = project_to_space(dset.domain, np.einsum("i,ij->j", weights, fields))
     update = _weighted_mean_tangent(current, fields, weights)
     residual = norm(current, update)
     for _ in range(max_iter):
