@@ -50,23 +50,18 @@ class RunConfig:
 
     seed: int = 0
     tol: float = 1e-10
-    step: float = 1e-4
-    delta: float = 1e-3
     normalize: bool = False
     out_dir: str = ""
     extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for name in ("tol", "step", "delta"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
+        if not self.tol > 0.0:
+            raise ValueError("tol must be positive")
 
     def hash(self) -> str:
         payload = {
             "seed": self.seed,
             "tol": self.tol,
-            "step": self.step,
-            "delta": self.delta,
             "normalize": self.normalize,
             **self.extra,
         }
@@ -96,8 +91,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return RunConfig(
         seed=args.seed,
         tol=args.tol,
-        step=args.step,
-        delta=args.delta,
         normalize=args.normalize,
         out_dir=args.out_dir or os.environ.get(OUTPUT_DIR_ENV, "."),
         extra=extra,
@@ -279,8 +272,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--domain", help="domain JSON file overriding inline domains")
         p.add_argument("--tol", type=float, default=1e-10, help="solver tolerance")
-        p.add_argument("--step", type=float, default=1e-4, help="integrator step")
-        p.add_argument("--delta", type=float, default=1e-3, help="finite-difference step")
         p.add_argument("--seed", type=int, default=0, help="random seed (recorded in outputs)")
         p.add_argument(
             "--normalize",

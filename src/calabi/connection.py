@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ConstraintError, DomainMismatchError
 from .geodesics import GeodesicSegment, evaluate
 from .quadrature import integrate
-from .space import ConformalFactor, TangentVector, inner
+from .space import ConformalFactor, TangentVector, _check_based_at, inner
 
 __all__ = [
     "SampledCurve",
@@ -121,6 +121,28 @@ def cov_deriv(
     return v_dot + 0.5 * v * u_dot + pairing / (2.0 * dom.vol)
 
 
+def _rk4(rhs, y: np.ndarray, t: float, step: float, project=None) -> np.ndarray:
+    """Integrate y' = rhs(s, y) from s = 0 to ``t`` with the classical
+    fourth-order scheme, in equal steps no longer than ``step``.
+
+    ``project(s, y)``, when given, maps the state back onto its constraint
+    after every step.
+    """
+    n_steps = max(1, int(np.ceil(abs(t) / step)))
+    h = t / n_steps
+    s = 0.0
+    for i in range(n_steps):
+        k1 = rhs(s, y)
+        k2 = rhs(s + 0.5 * h, y + 0.5 * h * k1)
+        k3 = rhs(s + 0.5 * h, y + 0.5 * h * k2)
+        k4 = rhs(s + h, y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        s = t * (i + 1) / n_steps
+        if project is not None:
+            y = project(s, y)
+    return y
+
+
 def parallel_transport(
     seg: GeodesicSegment, v0: TangentVector, t: float, step: float = 1e-4
 ) -> TangentVector:
@@ -130,46 +152,25 @@ def parallel_transport(
     fixed-step fourth-order scheme, re-projecting to the tangent space after
     every step to stop constraint drift.
     """
-    if v0.basepoint is not seg.start and not np.array_equal(
-        v0.basepoint.values, seg.start.values
-    ):
-        raise DomainMismatchError("vector is not based at the segment start")
+    _check_based_at(seg.start, v0, "vector")
     seg._check_time(t)
     if seg.speed == 0.0 or t == 0.0:
         return TangentVector(evaluate(seg, t) if t != 0.0 else seg.start, v0.values.copy())
 
     dom = seg.domain
-    rho = dom.radius
     weights = dom.weights
-    u0_vals = seg.start.values
-    rate = 2.0 * seg.speed / rho
-
-    def profile(s: float) -> tuple[np.ndarray, np.ndarray]:
-        theta = seg.speed * s / rho
-        g = np.cos(theta) + seg.coeff * np.sin(theta)
-        u_dot = rate * (seg.coeff * np.cos(theta) - np.sin(theta)) / g
-        density = np.exp(u0_vals) * g * g
-        return u_dot, density
+    density0 = seg.start.density()
 
     def rhs(s: float, vec: np.ndarray) -> np.ndarray:
-        u_dot, density = profile(s)
-        pairing = float(np.dot(vec * u_dot * density, weights))
+        u_dot, g = seg._velocity(s)
+        pairing = float(np.dot(vec * u_dot * (density0 * g * g), weights))
         return -0.5 * vec * u_dot - pairing / (2.0 * dom.vol)
 
-    n_steps = max(1, int(np.ceil(abs(t) / step)))
-    h = t / n_steps
-    vec = v0.values.copy()
-    s = 0.0
-    for i in range(n_steps):
-        k1 = rhs(s, vec)
-        k2 = rhs(s + 0.5 * h, vec + 0.5 * h * k1)
-        k3 = rhs(s + 0.5 * h, vec + 0.5 * h * k2)
-        k4 = rhs(s + h, vec + h * k3)
-        vec = vec + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        s = t * (i + 1) / n_steps
-        # re-project onto the tangent space at the current point
-        _, density = profile(s)
-        vec = vec - float(np.dot(vec * density, weights)) / dom.vol
+    def project(s: float, vec: np.ndarray) -> np.ndarray:
+        g = seg._profile(s)[2]
+        return vec - float(np.dot(vec * (density0 * g * g), weights)) / dom.vol
+
+    vec = _rk4(rhs, v0.values.copy(), t, step, project)
     return TangentVector(evaluate(seg, t), vec)
 
 

@@ -36,6 +36,7 @@ from .quadrature import QuadratureDomain, integrate
 from .space import (
     ConformalFactor,
     TangentVector,
+    _check_based_at,
     norm,
     project_to_space,
     project_to_tangent,
@@ -96,15 +97,25 @@ class GeodesicSegment:
     def point_at(self, t: float) -> ConformalFactor:
         return evaluate(self, t)
 
+    def _profile(self, t: float) -> tuple[float, float, np.ndarray]:
+        """cos(theta), sin(theta) and g = cos(theta) + coeff sin(theta) at the
+        sphere angle theta = speed t / rho, unchecked.  The point at t is
+        u0 + 2 log(g)."""
+        theta = self.speed * t / self.domain.radius
+        c, s = np.cos(theta), np.sin(theta)
+        return c, s, c + self.coeff * s
+
+    def _velocity(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """Velocity field u'(t) and the profile g at t, unchecked."""
+        c, s, g = self._profile(t)
+        return (2.0 * self.speed / self.domain.radius) * (self.coeff * c - s) / g, g
+
     def velocity_values(self, t: float) -> np.ndarray:
         """Raw velocity field u'(t), without wrapping it in a tangent vector."""
         self._check_time(t)
         if self.speed == 0.0:
             return np.zeros(self.domain.node_count)
-        rho = self.domain.radius
-        theta = self.speed * t / rho
-        g = np.cos(theta) + self.coeff * np.sin(theta)
-        return (2.0 * self.speed / rho) * (self.coeff * np.cos(theta) - np.sin(theta)) / g
+        return self._velocity(t)[0]
 
     def velocity_at(self, t: float) -> TangentVector:
         """Velocity field u'(t) as a tangent vector at the point u(t)."""
@@ -116,11 +127,7 @@ class GeodesicSegment:
 
 def geodesic_cauchy(u0: ConformalFactor, v0: TangentVector) -> GeodesicSegment:
     """Maximal geodesic with initial position ``u0`` and velocity ``v0``."""
-    if v0.basepoint is not u0 and not (
-        v0.basepoint.domain is u0.domain
-        and np.array_equal(v0.basepoint.values, u0.values)
-    ):
-        raise DomainMismatchError("initial velocity is not based at the start point")
+    _check_based_at(u0, v0, "initial velocity")
     speed = norm(u0, v0)
     rho = u0.domain.radius
     if speed == 0.0:
@@ -147,10 +154,7 @@ def evaluate(seg: GeodesicSegment, t: float) -> ConformalFactor:
     seg._check_time(t)
     if seg.speed == 0.0:
         return seg.start
-    rho = seg.domain.radius
-    theta = seg.speed * t / rho
-    g = np.cos(theta) + seg.coeff * np.sin(theta)
-    return ConformalFactor(seg.domain, seg.start.values + 2.0 * np.log(g))
+    return ConformalFactor(seg.domain, seg.start.values + 2.0 * np.log(seg._profile(t)[2]))
 
 
 def exp_map(u0: ConformalFactor, v0: TangentVector) -> ConformalFactor:
@@ -174,11 +178,55 @@ def exp_map(u0: ConformalFactor, v0: TangentVector) -> ConformalFactor:
     return evaluate(seg, 1.0)
 
 
-def _cosine(u0: ConformalFactor, u1: ConformalFactor) -> float:
+def _sphere_angles(cosine: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Angles arccos(cosine) and the mask of coincident pairs, whose cosine is
+    within COINCIDENCE_TOL of 1; their angle is set to exactly 0."""
+    coincident = cosine >= 1.0 - COINCIDENCE_TOL
+    theta = np.arccos(np.clip(cosine, -1.0, 1.0))
+    theta[coincident] = 0.0
+    return theta, coincident
+
+
+def _half_density_log(u: ConformalFactor, fields: np.ndarray):
+    """Cosines, angles, coincidence mask and log directions of the rows of a
+    (k, N) stack of fields seen from ``u``.
+
+    Row i has cos_i = integrate(e^((u_i+u)/2)) / vol, theta_i = arccos(cos_i)
+    and the direction e^((u_i-u)/2) - cos_i; the log map is the direction
+    times 2 theta_i / sin(theta_i).  Both exponentials act on sums and
+    differences of fields, so a node where e^u and every e^(u_i) underflow
+    still gives finite values.
+
+    The cosines are one ``np.dot`` per row, not one matrix-vector product, so
+    a single pair gets exactly the value of ``integrate``.  Products over a
+    whole stack of fields stay off BLAS matrix routines; the callers' sums
+    over the rows use ``np.einsum``, which runs on the calling thread.  As
+    ``@`` they wake the BLAS thread pool for every (k, N) product, and it
+    keeps spinning after it.  On a 2-CPU host with OpenBLAS 0.3.31,
+    ``calabi distance`` plus ``calabi mean`` over 64 densities on 4096 nodes
+    then took 1.4 CPU-seconds per wall-second, and the 64 x 64 Gram matrix,
+    2 ms on one thread, once took 40 ms.
+    """
+    dom = u.domain
+    directions = np.add(fields, u.values)
+    directions *= 0.5
+    np.exp(directions, out=directions)
+    cosine = np.array([np.dot(row, dom.weights) for row in directions]) / dom.vol
+    theta, coincident = _sphere_angles(cosine)
+    np.subtract(fields, u.values, out=directions)
+    directions *= 0.5
+    np.exp(directions, out=directions)
+    directions -= cosine[:, None]
+    return cosine, theta, coincident, directions
+
+
+def _pair_log(u0: ConformalFactor, u1: ConformalFactor):
+    """``_half_density_log`` of the single pair (u0, u1), as scalars and one
+    direction field."""
     if u1.domain is not u0.domain:
         raise DomainMismatchError("points live on different domains")
-    dom = u0.domain
-    return integrate(dom, np.exp(0.5 * (u0.values + u1.values))) / dom.vol
+    cosine, theta, coincident, directions = _half_density_log(u0, u1.values[None, :])
+    return float(cosine[0]), float(theta[0]), bool(coincident[0]), directions[0]
 
 
 def log_map(u0: ConformalFactor, w: ConformalFactor) -> TangentVector:
@@ -187,13 +235,10 @@ def log_map(u0: ConformalFactor, w: ConformalFactor) -> TangentVector:
     Coincident points (cosine within 1e-14 of 1) return the zero vector.
     The norm of the result is the distance between the points.
     """
-    cosine = _cosine(u0, w)
-    if cosine >= 1.0 - COINCIDENCE_TOL:
+    _, theta0, coincident, direction = _pair_log(u0, w)
+    if coincident:
         return zero_tangent(u0)
-    theta0 = float(np.arccos(np.clip(cosine, -1.0, 1.0)))
-    factor = 2.0 * theta0 / np.sin(theta0)
-    values = (np.exp(0.5 * (w.values - u0.values)) - cosine) * factor
-    return TangentVector(u0, values)
+    return TangentVector(u0, direction * (2.0 * theta0 / np.sin(theta0)))
 
 
 def geodesic_dirichlet(
@@ -206,12 +251,10 @@ def geodesic_dirichlet(
     arccos(cosine) lies in (0, pi/2) and the distance equals rho * t0.  The
     initial velocity is (2/sin t0)(e^((u1-u0)/2) - cosine).
     """
-    cosine = _cosine(u0, u1)
-    if cosine >= 1.0 - COINCIDENCE_TOL:
+    _, t0, coincident, direction = _pair_log(u0, u1)
+    if coincident:
         raise DegenerateEndpointsError("endpoints coincide; no connecting segment")
-    t0 = float(np.arccos(np.clip(cosine, -1.0, 1.0)))
-    values = (2.0 / np.sin(t0)) * (np.exp(0.5 * (u1.values - u0.values)) - cosine)
-    v0 = TangentVector(u0, values)
+    v0 = TangentVector(u0, (2.0 / np.sin(t0)) * direction)
     return geodesic_cauchy(u0, v0), t0
 
 
@@ -227,12 +270,8 @@ class DistanceReport:
 
 def distance(u0: ConformalFactor, u1: ConformalFactor) -> DistanceReport:
     """Geodesic distance between two points; zero iff they coincide."""
-    cosine = _cosine(u0, u1)
-    if cosine >= 1.0 - COINCIDENCE_TOL:
-        return DistanceReport(d=0.0, t0=0.0, cosine=cosine)
-    t0 = float(np.arccos(np.clip(cosine, -1.0, 1.0)))
-    rho = u0.domain.radius
-    return DistanceReport(d=rho * t0, t0=t0, cosine=cosine)
+    cosine, t0, _, _ = _pair_log(u0, u1)
+    return DistanceReport(d=u0.domain.radius * t0, t0=t0, cosine=cosine)
 
 
 def path_length(points: list[ConformalFactor], times) -> float:

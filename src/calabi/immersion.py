@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainMismatchError
 from .geodesics import GeodesicSegment, distance, evaluate
 from .quadrature import QuadratureDomain, integrate
-from .space import ConformalFactor, TangentVector
+from .space import ConformalFactor, TangentVector, _check_based_at
 
 __all__ = [
     "SpherePoint",
@@ -84,10 +83,7 @@ def sphere_transport_oracle(seg: GeodesicSegment, v0: TangentVector, t: float) -
     part; the result is pulled back by dividing by e^(u(t)/2).  Exact up to
     rounding, so it serves as the reference for the intrinsic integrator.
     """
-    if v0.basepoint is not seg.start and not np.array_equal(
-        v0.basepoint.values, seg.start.values
-    ):
-        raise DomainMismatchError("vector is not based at the segment start")
+    _check_based_at(seg.start, v0, "vector")
     seg._check_time(t)
     if seg.speed == 0.0 or t == 0.0:
         base = seg.start if t == 0.0 else evaluate(seg, t)

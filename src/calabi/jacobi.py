@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .connection import _rk4
 from .errors import ConstraintError
 from .geodesics import GeodesicSegment, evaluate
 from .space import TangentVector, inner
@@ -76,9 +77,18 @@ class JacobiClosedForm:
     def evaluate(self, t: float) -> np.ndarray:
         seg = self.geodesic
         seg._check_time(t)
-        theta = seg.speed * t / seg.domain.radius
-        u_t = evaluate(seg, t)
-        return (self.coef_cos * np.cos(theta) + self.coef_sin * np.sin(theta)) / u_t.half_density()
+        c, s, _ = seg._profile(t)
+        return (self.coef_cos * c + self.coef_sin * s) / evaluate(seg, t).half_density()
+
+
+def _closed_form(seg: GeodesicSegment, j0: np.ndarray, dtj0: np.ndarray) -> JacobiClosedForm:
+    """Closed form for the node fields J(0) and D_t J(0), taken as normal."""
+    half = seg.start.half_density()
+    return JacobiClosedForm(
+        geodesic=seg,
+        coef_cos=half * j0,
+        coef_sin=(seg.domain.radius / seg.speed) * half * dtj0,
+    )
 
 
 def jacobi_closed_form(
@@ -101,13 +111,7 @@ def jacobi_closed_form(
                 f"{name} has component {pairing!r} along the velocity; "
                 "closed form requires normal data"
             )
-    half = u0.half_density()
-    rho = u0.domain.radius
-    return JacobiClosedForm(
-        geodesic=seg,
-        coef_cos=half * j0.values,
-        coef_sin=(rho / seg.speed) * half * dtj0.values,
-    )
+    return _closed_form(seg, j0.values, dtj0.values)
 
 
 def jacobi_ode_rhs(
@@ -153,16 +157,8 @@ def jacobi_solve(
         return j0.values + t * dtj0.values
     if method == "closed":
         alpha, beta, j0_normal, w0_normal = _split_initial_data(seg, j0, dtj0)
-        u0 = seg.start
-        half = u0.half_density()
-        rho = u0.domain.radius
-        theta = seg.speed * t / rho
-        coef_cos = half * j0_normal
-        coef_sin = (rho / seg.speed) * half * w0_normal
-        u_t = evaluate(seg, t)
-        normal = (coef_cos * np.cos(theta) + coef_sin * np.sin(theta)) / u_t.half_density()
-        tangential = (alpha + beta * t) * seg.velocity_values(t)
-        return normal + tangential
+        normal = _closed_form(seg, j0_normal, w0_normal).evaluate(t)
+        return normal + (alpha + beta * t) * seg.velocity_values(t)
     if method == "ode":
         u0 = seg.start
         v0 = seg.velocity
@@ -176,24 +172,12 @@ def jacobi_solve(
         )
         if t == 0.0:
             return j0.values.copy()
-        n_steps = max(1, int(np.ceil(abs(t) / step)))
-        h = t / n_steps
-        y = j0.values.copy()
-        dy = j_prime
-        s = 0.0
-        for i in range(n_steps):
-            k1 = dy
-            l1 = jacobi_ode_rhs(seg, s, y, dy, pairing)
-            k2 = dy + 0.5 * h * l1
-            l2 = jacobi_ode_rhs(seg, s + 0.5 * h, y + 0.5 * h * k1, k2, pairing)
-            k3 = dy + 0.5 * h * l2
-            l3 = jacobi_ode_rhs(seg, s + 0.5 * h, y + 0.5 * h * k2, k3, pairing)
-            k4 = dy + h * l3
-            l4 = jacobi_ode_rhs(seg, s + h, y + h * k3, k4, pairing)
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            dy = dy + (h / 6.0) * (l1 + 2.0 * l2 + 2.0 * l3 + l4)
-            s = t * (i + 1) / n_steps
-        return y
+
+        def rhs(s: float, state: np.ndarray) -> np.ndarray:
+            j, dj = state
+            return np.stack([dj, jacobi_ode_rhs(seg, s, j, dj, pairing)])
+
+        return _rk4(rhs, np.stack([j0.values, j_prime]), t, step)[0]
     raise ValueError(f"unknown method {method!r}; use 'closed' or 'ode'")
 
 

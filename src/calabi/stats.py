@@ -14,12 +14,9 @@ The mean puts its inputs in an order fixed by their bits before summing
 over them, so its result is bitwise invariant under permutation of the
 inputs.
 
-The products over the stacked fields are written with ``np.einsum``, which
-runs on the calling thread.  As ``@`` they go to BLAS, whose thread pool
-wakes for every (k, N) product and keeps spinning after it.  On a 2-CPU
-host with OpenBLAS 0.3.31, ``calabi distance`` plus ``calabi mean`` over 64
-densities on 4096 nodes then took 1.4 CPU-seconds per wall-second, and the
-64 x 64 Gram matrix, 2 ms on one thread, once took 40 ms.
+The products over the stacked fields are written with ``np.einsum``, not
+``@``, to keep them off the BLAS thread pool; ``geodesics._half_density_log``
+says why.
 """
 
 from __future__ import annotations
@@ -32,7 +29,7 @@ import numpy as np
 from .errors import ConvergenceError, DomainMismatchError, ExpDomainError
 # ``distance`` is unused here but stays bound as ``stats.distance``, the
 # name through which perfbench's tracer tests reach a rebound import.
-from .geodesics import COINCIDENCE_TOL, distance, exp_map  # noqa: F401
+from .geodesics import _half_density_log, _sphere_angles, distance, exp_map  # noqa: F401
 from .space import ConformalFactor, TangentVector, norm, project_to_space
 
 __all__ = ["DensitySet", "karcher_mean", "distance_matrix"]
@@ -90,9 +87,7 @@ def _pair_distances(dset: DensitySet, half: np.ndarray):
     dom = dset.domain
     pairs = np.triu_indices(len(dset), 1)
     cosine = np.einsum("ik,jk->ij", half * dom.weights, half)[pairs] / dom.vol
-    d = dom.radius * np.arccos(np.clip(cosine, -1.0, 1.0))
-    d[cosine >= 1.0 - COINCIDENCE_TOL] = 0.0
-    return pairs, d
+    return pairs, dom.radius * _sphere_angles(cosine)[0]
 
 
 def _canonical_rows(dset: DensitySet) -> tuple[np.ndarray, np.ndarray]:
@@ -111,30 +106,12 @@ def _canonical_rows(dset: DensitySet) -> tuple[np.ndarray, np.ndarray]:
 def _weighted_mean_tangent(
     u: ConformalFactor, fields: np.ndarray, weights: np.ndarray
 ) -> TangentVector:
-    """sum_i w_i log_u(u_i) for every row of ``fields`` at once.
-
-    Row i of the log maps is (e^((u_i-u)/2) - cos_i) * 2 theta_i / sin(theta_i)
-    with cos_i = integrate(e^((u_i+u)/2)) / vol and theta_i = arccos(cos_i);
-    coincident rows contribute zero.  As in ``geodesics``, both exponentials
-    act on sums and differences of fields, so a node where e^u and every
-    e^(u_i) underflow still gives finite values.
-    """
-    dom = u.domain
-    logs = np.add(fields, u.values)
-    logs *= 0.5
-    np.exp(logs, out=logs)
-    cosine = np.einsum("ij,j->i", logs, dom.weights) / dom.vol
-    theta = np.arccos(np.clip(cosine, -1.0, 1.0))
+    """sum_i w_i log_u(u_i) for every row of ``fields`` at once; coincident
+    rows contribute zero."""
+    _, theta, coincident, logs = _half_density_log(u, fields)
     coeff = np.divide(
-        2.0 * weights * theta,
-        np.sin(theta),
-        out=np.zeros_like(theta),
-        where=cosine < 1.0 - COINCIDENCE_TOL,
+        2.0 * weights * theta, np.sin(theta), out=np.zeros_like(theta), where=~coincident
     )
-    np.subtract(fields, u.values, out=logs)
-    logs *= 0.5
-    np.exp(logs, out=logs)
-    logs -= cosine[:, None]
     return TangentVector(u, np.einsum("i,ij->j", coeff, logs))
 
 

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from calabi import (
+    ConformalFactor,
     ConstraintError,
+    DomainMismatchError,
     QuadratureDomain,
     SampledCurve,
     TangentVector,
@@ -129,6 +131,21 @@ def test_transport_matches_sphere_oracle(rng, d16):
         out = parallel_transport(seg, w, t, step=1e-4)
         oracle = sphere_transport_oracle(seg, w, t)
         assert float(np.max(np.abs(out.values - oracle.values))) < 1e-7
+
+
+def test_transport_rejects_vector_from_another_domain(rng, d16):
+    # u = 0 is a point of both domains: same volume, other weights.
+    weights = np.linspace(1.0, 2.0, 16)
+    other = QuadratureDomain(weights=weights * (0.25 / weights.sum()), vol=0.25)
+    u_a = ConformalFactor(d16, np.zeros(16))
+    u_b = ConformalFactor(other, np.zeros(16))
+    seg = geodesic_cauchy(u_a, random_admissible_tangent(u_a, rng))
+    w = random_tangent(u_b, rng)
+    t = 0.5 * seg.t_max
+    with pytest.raises(DomainMismatchError, match="not based at"):
+        parallel_transport(seg, w, t)
+    with pytest.raises(DomainMismatchError, match="not based at"):
+        sphere_transport_oracle(seg, w, t)
 
 
 def test_transport_outside_interval(rng, d16):

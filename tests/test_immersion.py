@@ -21,7 +21,7 @@ from calabi import (
     sphere_transport_oracle,
     to_conformal,
 )
-from calabi.verify import random_admissible_tangent
+from calabi.verify import immersion_isometry_error, random_admissible_tangent
 
 CHORD_PI_12 = 0.26105238444010315  # 2 sin(pi/24), frozen
 
@@ -51,9 +51,10 @@ def test_pullback_metric_is_exact(rng, d64):
     for _ in range(10):
         v = random_tangent(u, rng)
         w = random_tangent(u, rng)
-        pulled = integrate(d64, pushforward(u, v) * pushforward(u, w))
-        direct = inner(u, v, w)
-        assert pulled == pytest.approx(direct, rel=1e-13, abs=1e-300)
+        assert immersion_isometry_error(u, v, w) <= 1e-13
+    # one exactly orthogonal pair, where <v, w>_u itself is at rounding level
+    w_perp = TangentVector(u, w.values - inner(u, v, w) / inner(u, v, v) * v.values)
+    assert immersion_isometry_error(u, v, w_perp) <= 1e-13
 
 
 def test_chordal_of_equal_points(u0_d2):
