@@ -94,9 +94,6 @@ class GeodesicSegment:
                 f"({self.t_min}, {self.t_max})"
             )
 
-    def point_at(self, t: float) -> ConformalFactor:
-        return evaluate(self, t)
-
     def _profile(self, t: float) -> tuple[float, float, np.ndarray]:
         """cos(theta), sin(theta) and g = cos(theta) + coeff sin(theta) at the
         sphere angle theta = speed t / rho, unchecked.  The point at t is
@@ -119,9 +116,6 @@ class GeodesicSegment:
 
     def velocity_at(self, t: float) -> TangentVector:
         """Velocity field u'(t) as a tangent vector at the point u(t)."""
-        if self.speed == 0.0:
-            self._check_time(t)
-            return zero_tangent(self.start)
         return TangentVector(evaluate(self, t), self.velocity_values(t))
 
 

@@ -55,6 +55,8 @@ __all__ = [
 
 EPS_NORMALIZATION = 1e-10
 
+FD_CURVATURE_DELTA = 1e-3
+
 # Nodes of the path integral defining the normalization functional.
 _GAUSS_S, _GAUSS_W = np.polynomial.legendre.leggauss(16)
 _GAUSS_S = 0.5 * (_GAUSS_S + 1.0)
@@ -274,14 +276,15 @@ def gradient_curvature(
     b: GridTangent,
     c: GridTangent,
     d: GridTangent,
-    delta: float = 1e-3,
 ) -> float:
     """Pairing of (D_t D_s - D_s D_t) applied to a section against ``d``.
 
     Built on the two-parameter family phi + t a + s b with the section given
-    by projecting ``c`` to each tangent space; all finite differences are
-    exact for this affine family, so the result is zero to rounding.
+    by projecting ``c`` to each tangent space, in central differences of step
+    FD_CURVATURE_DELTA; all of them are exact for this affine family, so the
+    result is zero to rounding.
     """
+    delta = FD_CURVATURE_DELTA
     for x in (a, b, c, d):
         _check_at(phi, x, "tangent argument")
     dom = phi.domain
@@ -291,7 +294,7 @@ def gradient_curvature(
     def section(s: float, t: float) -> np.ndarray:
         wgt = 1.0 + laplacian(dom, base + t * va + s * vb)
         if np.any(wgt <= 0.0):
-            raise ValueError("family leaves the space; reduce delta")
+            raise ValueError("family leaves the space within the difference step")
         mean = float(np.dot(vc * wgt, dom.weights)) / dom.vol
         return vc - mean
 

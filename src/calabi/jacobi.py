@@ -143,15 +143,16 @@ def jacobi_solve(
     dtj0: TangentVector,
     t: float,
     method: str = "closed",
-    step: float = 1e-4,
 ) -> np.ndarray:
     """Jacobi field at parameter ``t`` for initial data (J(0), D_t J(0)).
 
     ``method="closed"`` splits the data into tangential (affine law) and
     normal (closed form) parts; ``method="ode"`` integrates the second-order
-    equation with a classical fixed-step fourth-order scheme.  The two
-    branches agree wherever both apply.
+    equation by ``connection._rk4`` (cost grows like |t|/tau near the end of
+    the interval).  The two branches agree wherever both apply.
     """
+    if method not in ("closed", "ode"):
+        raise ValueError(f"unknown method {method!r}; use 'closed' or 'ode'")
     seg._check_time(t)
     if seg.speed == 0.0:
         return j0.values + t * dtj0.values
@@ -159,26 +160,24 @@ def jacobi_solve(
         alpha, beta, j0_normal, w0_normal = _split_initial_data(seg, j0, dtj0)
         normal = _closed_form(seg, j0_normal, w0_normal).evaluate(t)
         return normal + (alpha + beta * t) * seg.velocity_values(t)
-    if method == "ode":
-        u0 = seg.start
-        v0 = seg.velocity
-        pairing = inner(u0, dtj0, v0)
-        # plain derivative from the covariant one:
-        # J' = D_t J - (1/2) u' J - (1/(2 vol)) <J, u'>
-        j_prime = (
-            dtj0.values
-            - 0.5 * v0.values * j0.values
-            - inner(u0, j0, v0) / (2.0 * u0.domain.vol)
-        )
-        if t == 0.0:
-            return j0.values.copy()
+    if t == 0.0:
+        return j0.values.copy()
+    u0 = seg.start
+    v0 = seg.velocity
+    pairing = inner(u0, dtj0, v0)
+    # plain derivative from the covariant one:
+    # J' = D_t J - (1/2) u' J - (1/(2 vol)) <J, u'>
+    j_prime = (
+        dtj0.values
+        - 0.5 * v0.values * j0.values
+        - inner(u0, j0, v0) / (2.0 * u0.domain.vol)
+    )
 
-        def rhs(s: float, state: np.ndarray) -> np.ndarray:
-            j, dj = state
-            return np.stack([dj, jacobi_ode_rhs(seg, s, j, dj, pairing)])
+    def rhs(s: float, state: np.ndarray) -> np.ndarray:
+        j, dj = state
+        return np.stack([dj, jacobi_ode_rhs(seg, s, j, dj, pairing)])
 
-        return _rk4(rhs, np.stack([j0.values, j_prime]), t, step)[0]
-    raise ValueError(f"unknown method {method!r}; use 'closed' or 'ode'")
+    return _rk4(rhs, np.stack([j0.values, j_prime]), seg, t)[0]
 
 
 @dataclass(frozen=True)

@@ -66,7 +66,7 @@ class QuadratureDomain:
         if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
             raise ValueError("every weight must be finite and strictly positive")
         exact = math.fsum(w.tolist())
-        if abs(self.vol - exact) > VOL_TOL * exact:
+        if not abs(self.vol - exact) <= VOL_TOL * exact:
             raise ValueError(
                 f"recorded volume {self.vol!r} differs from sum of weights {exact!r}"
             )

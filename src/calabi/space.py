@@ -191,8 +191,5 @@ def load_density(source: str | Path | dict, domain: QuadratureDomain | None = No
     raise ValueError('density file must carry a "u" or "density" field')
 
 
-def density_to_dict(u: ConformalFactor, inline_domain: bool = True) -> dict:
-    out: dict = {"u": u.values.tolist()}
-    if inline_domain:
-        out["domain"] = u.domain.to_dict()
-    return out
+def density_to_dict(u: ConformalFactor) -> dict:
+    return {"u": u.values.tolist(), "domain": u.domain.to_dict()}

@@ -58,7 +58,7 @@ class DensitySet:
                 raise ValueError("need one weight per density")
             if np.any(w < 0.0):
                 raise ValueError("weights must be nonnegative")
-            if abs(math.fsum(w.tolist()) - 1.0) > 1e-12:
+            if not abs(math.fsum(w.tolist()) - 1.0) <= 1e-12:
                 raise ValueError("weights must sum to one")
         object.__setattr__(self, "weights", w)
 

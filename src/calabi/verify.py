@@ -53,6 +53,8 @@ __all__ = [
     "run_report",
 ]
 
+FD_CURVATURE_DELTA = 1e-2
+
 
 def random_admissible_tangent(
     u0: ConformalFactor, rng: np.random.Generator, fill: float = 0.9
@@ -91,15 +93,16 @@ def finite_difference_curvature(
     b: TangentVector,
     c: TangentVector,
     d: TangentVector,
-    delta: float = 1e-2,
 ) -> float:
     """Curvature pairing <(D_a D_b - D_b D_a) C, d> by nested differences.
 
     Works on the two-parameter geodesic family (q, r) -> exp(q a + r b) with
-    the section obtained by projecting ``c`` to each tangent space; no use is
-    made of the closed curvature tensor.
+    the section obtained by projecting ``c`` to each tangent space, in
+    central differences of step FD_CURVATURE_DELTA; no use is made of the
+    closed curvature tensor.
     """
     u = u0
+    delta = FD_CURVATURE_DELTA
 
     def point(q: float, r: float) -> ConformalFactor:
         vec = TangentVector(u, q * a.values + r * b.values)

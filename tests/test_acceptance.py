@@ -84,7 +84,7 @@ def test_criterion_01_constant_curvature():
         u = random_point(dom, rng, amplitude=0.4)
         a, b = orthonormal_pair(u, rng)
         exact = exact and sectional_curvature(u, a, b) == 1.0
-        fd = finite_difference_curvature(u, a, b, a, b, delta=1e-2)
+        fd = finite_difference_curvature(u, a, b, a, b)
         fd_err = max(fd_err, abs(fd - curvature_tensor(u, a, b, a, b)))
     elapsed = time.perf_counter() - start
     ok = exact and fd_err < 1e-3 and elapsed < 10.0
@@ -253,7 +253,7 @@ def test_criterion_07_jacobi():
         for frac in (-0.9, -0.45, 0.45, 0.9):
             t = frac * span
             closed = jacobi_solve(seg, j0, w0, t, method="closed")
-            ode = jacobi_solve(seg, j0, w0, t, method="ode", step=1e-4)
+            ode = jacobi_solve(seg, j0, w0, t, method="ode")
             dual_sup = max(dual_sup, float(np.max(np.abs(closed - ode))))
 
     j0 = random_tangent(u0, rng, amplitude=0.6)

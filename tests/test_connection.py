@@ -115,7 +115,7 @@ def test_transport_preserves_norm(rng, d16):
     seg = geodesic_cauchy(u0, v0)
     w = random_tangent(u0, rng)
     t = 0.6 * seg.t_max
-    out = parallel_transport(seg, w, t, step=1e-4)
+    out = parallel_transport(seg, w, t)
     before = inner(u0, w, w)
     after = inner(evaluate(seg, t), out, out)
     assert after == pytest.approx(before, abs=1e-8)
@@ -128,7 +128,7 @@ def test_transport_matches_sphere_oracle(rng, d16):
     w = random_tangent(u0, rng)
     for frac in (0.4, -0.5):
         t = frac * (seg.t_max if frac > 0 else -seg.t_min)
-        out = parallel_transport(seg, w, t, step=1e-4)
+        out = parallel_transport(seg, w, t)
         oracle = sphere_transport_oracle(seg, w, t)
         assert float(np.max(np.abs(out.values - oracle.values))) < 1e-7
 
@@ -272,7 +272,7 @@ def test_metric_compatibility(rng, d16):
 def test_fd_curvature_oracle_matches_closed_tensor(rng, d3):
     u = random_point(d3, rng, amplitude=0.5)
     a, b = orthonormal_pair(u, rng)
-    fd = finite_difference_curvature(u, a, b, a, b, delta=1e-2)
+    fd = finite_difference_curvature(u, a, b, a, b)
     closed = curvature_tensor(u, a, b, a, b)
     assert closed == pytest.approx(-1.0, rel=1e-12)
     assert abs(fd - closed) < 1e-3
@@ -281,7 +281,7 @@ def test_fd_curvature_oracle_matches_closed_tensor(rng, d3):
 def test_fd_curvature_oracle_random_slots(rng, d3):
     u = random_point(d3, rng, amplitude=0.5)
     args = [random_tangent(u, rng, amplitude=0.8) for _ in range(4)]
-    fd = finite_difference_curvature(u, *args, delta=1e-2)
+    fd = finite_difference_curvature(u, *args)
     closed = curvature_tensor(u, *args)
     assert abs(fd - closed) < 1e-3
 

@@ -17,11 +17,15 @@ from calabi import (
     jacobi_closed_form,
     jacobi_ode_rhs,
     jacobi_solve,
+    make_normalized_domain,
     norm,
+    parallel_transport,
     random_point,
     random_tangent,
+    sphere_transport_oracle,
     zero_tangent,
 )
+from calabi import jacobi
 from calabi.verify import random_admissible_tangent
 
 
@@ -125,15 +129,54 @@ def test_closed_vs_ode_branch(rng, d3):
     for frac in (0.9, 0.4, -0.9):
         t = frac * span
         closed = jacobi_solve(seg, j0, w0, t, method="closed")
-        ode = jacobi_solve(seg, j0, w0, t, method="ode", step=1e-4)
+        ode = jacobi_solve(seg, j0, w0, t, method="ode")
         assert float(np.max(np.abs(closed - ode))) < 1e-6
 
 
 def test_unknown_method(rng, d3):
     seg = unit_geodesic(d3, rng)
+    constant = geodesic_cauchy(seg.start, zero_tangent(seg.start))
     z = zero_tangent(seg.start)
-    with pytest.raises(ValueError, match="unknown method"):
-        jacobi_solve(seg, z, z, 0.1, method="rk2")
+    for s in (seg, constant):
+        with pytest.raises(ValueError, match="unknown method"):
+            jacobi_solve(s, z, z, 0.1, method="rk2")
+
+
+def test_step_count_does_not_depend_on_speed(rng, d16, monkeypatch):
+    seg = unit_geodesic(d16, rng)
+    slow = geodesic_cauchy(seg.start, TangentVector(seg.start, 1e-3 * seg.velocity.values))
+    j0 = random_tangent(seg.start, rng, amplitude=0.6)
+    w0 = random_tangent(seg.start, rng, amplitude=0.6)
+    calls = []
+    rhs = jacobi.jacobi_ode_rhs
+
+    def counting_rhs(*args):
+        calls.append(None)
+        return rhs(*args)
+
+    monkeypatch.setattr(jacobi, "jacobi_ode_rhs", counting_rhs)
+    t = 0.7 * seg.t_max
+    counts = []
+    for path, time in ((seg, t), (slow, 1e3 * t)):
+        calls.clear()
+        jacobi_solve(path, j0, w0, time, method="ode")
+        counts.append(len(calls))
+    assert counts[0] > 0
+    assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("node_count", [3, 16, 1024])
+def test_oracles_hold_near_the_end_of_the_interval(rng, node_count):
+    seg = unit_geodesic(make_normalized_domain(node_count), rng)
+    j0 = random_tangent(seg.start, rng, amplitude=0.6)
+    w0 = random_tangent(seg.start, rng, amplitude=0.6)
+    for t in (0.95 * seg.t_max, 0.95 * seg.t_min):
+        moved = parallel_transport(seg, j0, t)
+        oracle = sphere_transport_oracle(seg, j0, t)
+        assert float(np.max(np.abs(moved.values - oracle.values))) < 1e-7
+        closed = jacobi_solve(seg, j0, w0, t, method="closed")
+        ode = jacobi_solve(seg, j0, w0, t, method="ode")
+        assert float(np.max(np.abs(closed - ode))) < 1e-6
 
 
 def test_constant_geodesic_flat_line(rng, d3):

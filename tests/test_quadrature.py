@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -69,6 +70,11 @@ def test_domain_validation():
         QuadratureDomain(weights=np.array([1.0]), vol=1.0)
     with pytest.raises(ValueError, match="differs from sum"):
         QuadratureDomain(weights=np.array([0.5, 0.5]), vol=2.0)
+
+
+def test_nan_volume_is_rejected():
+    with pytest.raises(ValueError, match="differs from sum"):
+        QuadratureDomain(weights=np.array([0.5, 0.5]), vol=math.nan)
 
 
 def test_integrate_linearity(rng, d64):

@@ -45,6 +45,12 @@ def test_density_set_validation(rng, d16):
         DensitySet([pts[0], other])
 
 
+def test_nan_weight_is_rejected(rng, d16):
+    pts = [random_point(d16, rng) for _ in range(2)]
+    with pytest.raises(ValueError, match="sum to one"):
+        DensitySet(pts, weights=[math.nan, 0.5])
+
+
 def test_mean_of_duplicates_is_the_point(rng, d16):
     u = random_point(d16, rng, amplitude=0.5)
     mean = karcher_mean(DensitySet([u, u]))
