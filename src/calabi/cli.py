@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__
 from .errors import ConvergenceError, GeometryError
 from .geodesics import evaluate, geodesic_dirichlet
-from .quadrature import QuadratureDomain, load_domain, make_normalized_domain
+from .quadrature import QuadratureDomain, domain_from_dict, load_domain, make_normalized_domain
 from .space import density_to_dict, load_density
 from .stats import DensitySet, distance_matrix, karcher_mean
 from .verify import run_report
@@ -112,8 +112,6 @@ def _load_inputs(paths: list[str], domain_path: str | None, normalize: bool):
     it.  Density files are parsed, checked and converted one at a time, so
     only one parsed document is held at once.
     """
-    from .quadrature import domain_from_dict
-
     domains: dict[str, QuadratureDomain] = {}
 
     def named_domain(path: str) -> QuadratureDomain:
@@ -154,6 +152,14 @@ def _load_inputs(paths: list[str], domain_path: str | None, normalize: bool):
 def _write_lines(path: Path, lines: list[str]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n")
+
+
+def _emit(lines: list[str], path: str | None) -> None:
+    """Write ``lines`` to ``path`` when one is given, else print them."""
+    if path:
+        _write_lines(Path(path), lines)
+    else:
+        print("\n".join(lines))
 
 
 def _csv_row(t: float, values: np.ndarray) -> str:
@@ -209,11 +215,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             domain = _normalized(domain)
     report = run_report(domain, seed=config.seed)
     report["meta"] = config.meta()
-    text = json.dumps(report, indent=1, sort_keys=True, default=float)
-    if args.report:
-        _write_lines(Path(args.report), [text])
-    else:
-        print(text)
+    _emit([json.dumps(report, indent=1, sort_keys=True, default=float)], args.report)
     status = "ok" if report["passed"] else "FAILED: " + ", ".join(report["failures"])
     print(f"verification on {domain.node_count} nodes: {status}", file=sys.stderr)
     return EXIT_OK if report["passed"] else EXIT_VERIFY
@@ -234,17 +236,9 @@ def cmd_distance(args: argparse.Namespace) -> int:
     labels = [Path(p).name for p in args.inputs]
     if args.json:
         payload = {"meta": config.meta(), "labels": labels, "matrix": matrix.tolist()}
-        text = json.dumps(payload, indent=1, sort_keys=True)
-        if args.out:
-            _write_lines(Path(args.out), [text])
-        else:
-            print(text)
+        _emit([json.dumps(payload, indent=1, sort_keys=True)], args.out)
     else:
-        lines = _matrix_csv(config, matrix, labels)
-        if args.out:
-            _write_lines(Path(args.out), lines)
-        else:
-            print("\n".join(lines))
+        _emit(_matrix_csv(config, matrix, labels), args.out)
     return EXIT_OK
 
 
@@ -253,11 +247,7 @@ def cmd_mean(args: argparse.Namespace) -> int:
     _, points = _load_inputs(args.inputs, args.domain, args.normalize)
     mean = karcher_mean(DensitySet(points), tol=config.tol, max_iter=args.max_iter)
     payload = {"meta": config.meta(), **density_to_dict(mean)}
-    text = json.dumps(payload, indent=1, sort_keys=True)
-    if args.out:
-        _write_lines(Path(args.out), [text])
-    else:
-        print(text)
+    _emit([json.dumps(payload, indent=1, sort_keys=True)], args.out)
     return EXIT_OK
 
 

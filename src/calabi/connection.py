@@ -162,17 +162,16 @@ def parallel_transport(seg: GeodesicSegment, v0: TangentVector, t: float) -> Tan
         return TangentVector(evaluate(seg, t) if t != 0.0 else seg.start, v0.values.copy())
 
     dom = seg.domain
-    weights = dom.weights
     density0 = seg.start.density()
 
     def rhs(s: float, vec: np.ndarray) -> np.ndarray:
         u_dot, g = seg._velocity(s)
-        pairing = float(np.dot(vec * u_dot * (density0 * g * g), weights))
+        pairing = integrate(dom, vec * u_dot * (density0 * g * g))
         return -0.5 * vec * u_dot - pairing / (2.0 * dom.vol)
 
     def project(s: float, vec: np.ndarray) -> np.ndarray:
         g = seg._profile(s)[2]
-        return vec - float(np.dot(vec * (density0 * g * g), weights)) / dom.vol
+        return vec - integrate(dom, vec * (density0 * g * g)) / dom.vol
 
     vec = _rk4(rhs, v0.values.copy(), seg, t, project)
     return TangentVector(evaluate(seg, t), vec)

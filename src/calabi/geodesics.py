@@ -39,7 +39,6 @@ from .space import (
     _check_based_at,
     norm,
     project_to_space,
-    project_to_tangent,
     zero_tangent,
 )
 
@@ -190,22 +189,12 @@ def _half_density_log(u: ConformalFactor, fields: np.ndarray):
     times 2 theta_i / sin(theta_i).  Both exponentials act on sums and
     differences of fields, so a node where e^u and every e^(u_i) underflow
     still gives finite values.
-
-    The cosines are one ``np.dot`` per row, not one matrix-vector product, so
-    a single pair gets exactly the value of ``integrate``.  Products over a
-    whole stack of fields stay off BLAS matrix routines; the callers' sums
-    over the rows use ``np.einsum``, which runs on the calling thread.  As
-    ``@`` they wake the BLAS thread pool for every (k, N) product, and it
-    keeps spinning after it.  On a 2-CPU host with OpenBLAS 0.3.31,
-    ``calabi distance`` plus ``calabi mean`` over 64 densities on 4096 nodes
-    then took 1.4 CPU-seconds per wall-second, and the 64 x 64 Gram matrix,
-    2 ms on one thread, once took 40 ms.
     """
     dom = u.domain
     directions = np.add(fields, u.values)
     directions *= 0.5
     np.exp(directions, out=directions)
-    cosine = np.array([np.dot(row, dom.weights) for row in directions]) / dom.vol
+    cosine = integrate(dom, directions) / dom.vol
     theta, coincident = _sphere_angles(cosine)
     np.subtract(fields, u.values, out=directions)
     directions *= 0.5
@@ -273,23 +262,23 @@ def path_length(points: list[ConformalFactor], times) -> float:
 
     Each segment contributes |(u_{i+1} - u_i)/dt|_m * dt, with the norm taken
     at the renormalized midpoint m and the chord projected to the tangent
-    space there.
+    space there, for all segments at once on the stacked samples.
     """
     times = np.asarray(times, dtype=float)
     if len(points) != times.size:
         raise ValueError("need one sample point per time")
     if len(points) < 2:
         raise ValueError("need at least two samples")
+    dt = np.diff(times)
+    if np.any(dt <= 0.0):
+        raise ValueError("times must be strictly increasing")
     dom = points[0].domain
-    total = 0.0
-    for i in range(len(points) - 1):
-        dt = times[i + 1] - times[i]
-        if dt <= 0.0:
-            raise ValueError("times must be strictly increasing")
-        mid = project_to_space(dom, 0.5 * (points[i].values + points[i + 1].values))
-        vel = project_to_tangent(mid, (points[i + 1].values - points[i].values) / dt)
-        total += norm(mid, vel) * dt
-    return total
+    u = np.array([p.values for p in points])
+    density = np.exp(0.5 * (u[:-1] + u[1:]))
+    density *= (dom.vol / integrate(dom, density))[:, None]
+    vel = (u[1:] - u[:-1]) / dt[:, None]
+    vel -= (integrate(dom, vel * density) / dom.vol)[:, None]
+    return float(np.sum(np.sqrt(integrate(dom, vel * vel * density)) * dt))
 
 
 def _bump_field(node_count: int, n_inner: int, n_outer: int) -> np.ndarray:
@@ -343,11 +332,11 @@ def boundary_sequence(u0: ConformalFactor, k_max: int) -> list[tuple[int, float]
         raise ValueError(f"need at least 16 nodes to host the bumps, got {n}")
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
-    dens_w = u0.density() * dom.weights
+    density = u0.density()
     out = []
     for k in range(1, k_max + 1):
         n_k = max(1, round(n * 4.0**-k))
-        mu_s = float(np.sum(dens_w[:n_k]))
+        mu_s = integrate(dom, density * (np.arange(n) < n_k))
         mu_t = dom.vol - mu_s
         c = math.sqrt(mu_t / (mu_s * dom.vol))
         values = np.full(n, c * mu_s / mu_t)

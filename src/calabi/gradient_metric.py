@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConstraintError, DomainMismatchError
-from .quadrature import QuadratureDomain, make_torus_grid
+from .quadrature import QuadratureDomain, integrate, make_torus_grid
 
 __all__ = [
     "GridPotential",
@@ -105,8 +105,8 @@ def normalization_value(domain: QuadratureDomain, values) -> float:
     potential makes the functional vanish exactly.
     """
     v = domain.check_field(values)
-    base = float(np.dot(v, domain.weights))
-    cross = float(np.dot(v * laplacian(domain, v), domain.weights))
+    base = integrate(domain, v)
+    cross = integrate(domain, v * laplacian(domain, v))
     total = 0.0
     for s, w in zip(_GAUSS_S, _GAUSS_W):
         total += w * (base + s * cross)
@@ -153,7 +153,7 @@ class GridTangent:
         v = self.potential.domain.check_field(self.values)
         object.__setattr__(self, "values", v)
         dom = self.potential.domain
-        pairing = float(np.dot(v * self.potential.conformal_weight(), dom.weights))
+        pairing = integrate(dom, v * self.potential.conformal_weight())
         scale = 1.0 + float(np.max(np.abs(v))) if v.size else 1.0
         if abs(pairing) > EPS_NORMALIZATION * dom.vol * scale:
             raise ConstraintError(
@@ -176,7 +176,7 @@ def make_grid_potential(domain: QuadratureDomain, raw) -> GridPotential:
 def project_to_grid_tangent(phi: GridPotential, raw) -> GridTangent:
     """Subtract the deformed-measure mean so the tangency constraint holds."""
     v = phi.domain.check_field(raw)
-    mean = float(np.dot(v * phi.conformal_weight(), phi.domain.weights)) / phi.domain.vol
+    mean = integrate(phi.domain, v * phi.conformal_weight()) / phi.domain.vol
     return GridTangent(phi, v - mean)
 
 
@@ -191,7 +191,7 @@ def _check_at(phi: GridPotential, psi: GridTangent, name: str) -> None:
 
 def _pairing(domain: QuadratureDomain, x: np.ndarray, y: np.ndarray) -> float:
     """The potential-independent form -integrate(x lap y)."""
-    return -float(np.dot(x * laplacian(domain, y), domain.weights))
+    return -integrate(domain, x * laplacian(domain, y))
 
 
 def gradient_inner(phi: GridPotential, psi: GridTangent, chi: GridTangent) -> float:
@@ -209,7 +209,7 @@ def gradient_inner_gradform(phi: GridPotential, psi: GridTangent, chi: GridTange
     dom = phi.domain
     px, py = grad_forward(dom, psi.values)
     cx, cy = grad_forward(dom, chi.values)
-    return float(np.dot(px * cx + py * cy, dom.weights))
+    return integrate(dom, px * cx + py * cy)
 
 
 def gradient_cov_deriv(times, potentials: list[GridPotential], sections, index: int) -> np.ndarray:
@@ -295,7 +295,7 @@ def gradient_curvature(
         wgt = 1.0 + laplacian(dom, base + t * va + s * vb)
         if np.any(wgt <= 0.0):
             raise ValueError("family leaves the space within the difference step")
-        mean = float(np.dot(vc * wgt, dom.weights)) / dom.vol
+        mean = integrate(dom, vc * wgt) / dom.vol
         return vc - mean
 
     def cov(first: np.ndarray, s: float, t: float, along: np.ndarray) -> np.ndarray:

@@ -37,9 +37,6 @@ __all__ = [
 # Membership constraints are enforced to this relative precision.
 EPS_CONSTRAINT = 1e-10
 
-# Fields with entries above this would overflow exp() in float64.
-_EXP_OVERFLOW = 700.0
-
 
 @dataclass(frozen=True, eq=False)
 class ConformalFactor:
@@ -95,19 +92,20 @@ def project_to_space(domain: QuadratureDomain, raw) -> ConformalFactor:
     """Shift a raw field by a constant so that ``integrate(e^u) = vol``.
 
     The additive-constant shift is the unique correction of this form; it
-    also makes the result invariant under adding constants to ``raw``.
+    also makes the result invariant under adding constants to ``raw``.  Every
+    finite field is accepted unless its range overflows float64.
     """
     r = domain.check_field(raw)
     if not np.all(np.isfinite(r)):
         raise ValueError("raw field must be finite at every node")
-    if np.max(r) > _EXP_OVERFLOW:
-        raise OverflowError(
-            f"max(raw) = {np.max(r)} would overflow e^raw; rescale the field first"
-        )
-    mass = integrate(domain, np.exp(r))
-    if not np.isfinite(mass) or mass <= 0.0:
-        raise OverflowError("integrate(e^raw) overflowed; rescale the field first")
-    return ConformalFactor(domain, r - np.log(mass / domain.vol))
+    # Shifted so that its maximum is 0: e^shifted cannot overflow, and the
+    # mass is at least the largest weight, so it is never zero.
+    with np.errstate(over="ignore"):
+        shifted = r - np.max(r)
+    if not np.all(np.isfinite(shifted)):
+        raise ValueError("range of the raw field overflows float64")
+    mass = integrate(domain, np.exp(shifted))
+    return ConformalFactor(domain, shifted - np.log(mass / domain.vol))
 
 
 def project_to_tangent(u: ConformalFactor, raw) -> TangentVector:
@@ -137,7 +135,7 @@ def inner(u: ConformalFactor, v: TangentVector, w: TangentVector) -> float:
     """Metric pairing ``integrate(v w e^u)`` of two tangents at ``u``."""
     _check_based_at(u, v, "first tangent")
     _check_based_at(u, w, "second tangent")
-    return float(np.dot(v.values * w.values * u.density(), u.domain.weights))
+    return integrate(u.domain, v.values * w.values * u.density())
 
 
 def norm(u: ConformalFactor, v: TangentVector) -> float:

@@ -15,8 +15,8 @@ over them, so its result is bitwise invariant under permutation of the
 inputs.
 
 The products over the stacked fields are written with ``np.einsum``, not
-``@``, to keep them off the BLAS thread pool; ``geodesics._half_density_log``
-says why.
+``@``, to keep them off the BLAS thread pool; ``quadrature.integrate`` says
+why.
 """
 
 from __future__ import annotations

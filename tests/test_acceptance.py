@@ -379,7 +379,7 @@ def test_criterion_10_normalization_bridge():
     assert dom.radius == 1.0
 
     def ref_speed(u0v, v0v):
-        return math.sqrt(float(np.dot(v0v * v0v * np.exp(u0v), wts)))
+        return math.sqrt(float(np.einsum("j,j->", v0v * v0v * np.exp(u0v), wts)))
 
     def ref_point(u0v, v0v, t):
         s = ref_speed(u0v, v0v)
@@ -396,7 +396,7 @@ def test_criterion_10_normalization_bridge():
         return np.arctan2(1.0, -v0v.min() / (2.0 * s))
 
     def ref_cosine(u0v, u1v):
-        return 4.0 * float(np.dot(np.exp(0.5 * (u0v + u1v)), wts))
+        return 4.0 * float(np.einsum("j,j->", np.exp(0.5 * (u0v + u1v)), wts))
 
     def ref_log(u0v, u1v):
         c = ref_cosine(u0v, u1v)

@@ -6,10 +6,12 @@ import pytest
 
 from calabi import (
     QuadratureDomain,
+    distance,
     integrate,
     load_domain,
     make_normalized_domain,
     make_torus_grid,
+    random_point,
 )
 from calabi.quadrature import domain_from_dict
 
@@ -31,8 +33,29 @@ def test_integrate_direct_weighted_sum(d2):
 
 
 def test_integrate_length_mismatch(d2):
-    with pytest.raises(ValueError, match="shape"):
-        integrate(d2, np.ones(3))
+    for field in (np.ones(3), np.ones((4, 3)), np.ones((2, 2, 2)), 1.0):
+        with pytest.raises(ValueError, match="shape"):
+            integrate(d2, field)
+
+
+@pytest.mark.parametrize("nodes", [64, 10000])
+def test_integrate_stack_matches_rows(rng, nodes):
+    # Past 8192 nodes a single einsum over the stack would round its rows
+    # differently from the same fields integrated on their own.
+    weights = rng.uniform(0.5, 1.5, nodes)
+    dom = QuadratureDomain(weights=weights, vol=math.fsum(weights.tolist()))
+    fields = rng.standard_normal((5, nodes))
+    out = integrate(dom, fields)
+    assert out.shape == (5,)
+    assert np.array_equal(out, [integrate(dom, f) for f in fields])
+
+
+@pytest.mark.parametrize("nodes", [64, 65536])
+def test_distance_cosine_is_the_integral(rng, nodes):
+    dom = make_normalized_domain(nodes)
+    u0, u1 = random_point(dom, rng), random_point(dom, rng)
+    expected = integrate(dom, np.exp(0.5 * (u0.values + u1.values))) / dom.vol
+    assert distance(u0, u1).cosine == expected
 
 
 def test_normalized_domain_weights():
