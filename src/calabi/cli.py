@@ -11,7 +11,9 @@ Density and domain files use the JSON forms documented in ``space`` and
 ``quadrature``.  Every file output starts with a header carrying the tool
 version, a hash of the run configuration, and the seed, so reruns are
 byte-identical.  Exit codes: 0 success, 2 input error, 3 verification
-failure, 4 convergence failure.
+failure, 4 convergence failure.  When at least two CPUs are usable,
+``interpolate`` writes its frame files from one forked helper process while
+it writes ``curve.csv`` itself; the files are byte-identical either way.
 """
 
 from __future__ import annotations
@@ -150,20 +152,77 @@ def _load_inputs(paths: list[str], domain_path: str | None, normalize: bool):
 
 
 def _write_lines(path: Path, lines: list[str]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n")
 
 
 def _emit(lines: list[str], path: str | None) -> None:
     """Write ``lines`` to ``path`` when one is given, else print them."""
     if path:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
         _write_lines(Path(path), lines)
     else:
         print("\n".join(lines))
 
 
-def _csv_row(t: float, values: np.ndarray) -> str:
-    return ",".join([repr(float(t))] + [repr(float(x)) for x in values])
+def _csv_row(first: str, values: np.ndarray) -> str:
+    """``first`` followed by the shortest round-trip text of each value."""
+    return ",".join([first, *map(repr, values.tolist())])
+
+
+def _fork_call(fn):
+    """Start ``fn()`` in one forked child and return a ``wait`` function.
+
+    ``wait()`` joins the child and re-raises in the caller any exception
+    ``fn`` raised; that exception is the only thing sent back, through a
+    one-way pipe.  A child that dies without sending one raises
+    ``ChildProcessError``.  The child inherits ``fn`` and everything it
+    refers to through the fork, so nothing is pickled on the way in.  With
+    fewer than two usable CPUs (``os.sched_getaffinity``, which honours
+    ``taskset`` and cpusets), or where it does not exist, ``fn`` runs in the
+    calling process instead and ``wait()`` does nothing.
+
+    Forking while numpy's idle OpenBLAS threads exist is safe here because
+    the child calls no BLAS: it only evaluates geodesic points (``exp`` and
+    ``einsum`` sums), formats them with ``repr`` and writes files.  That is
+    why the interpreter's warning about forking a multi-threaded process is
+    silenced for this one fork.
+    """
+    if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
+        fn()
+        return lambda: None
+    import multiprocessing
+    import warnings
+
+    ctx = multiprocessing.get_context("fork")
+    receiver, sender = ctx.Pipe(duplex=False)
+
+    def child() -> None:
+        try:
+            fn()
+        except Exception as exc:
+            sender.send(exc)
+        else:
+            sender.send(None)
+
+    process = ctx.Process(target=child)
+    with sender, warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "This process .* is multi-threaded", DeprecationWarning)
+        process.start()
+
+    def wait() -> None:
+        try:
+            error = receiver.recv()
+        except EOFError:
+            error = None
+        finally:
+            receiver.close()
+            process.join()
+        if error is not None:
+            raise error
+        if process.exitcode != 0:
+            raise ChildProcessError(f"forked helper exited with code {process.exitcode}")
+
+    return wait
 
 
 def cmd_interpolate(args: argparse.Namespace) -> int:
@@ -175,21 +234,26 @@ def cmd_interpolate(args: argparse.Namespace) -> int:
     d = domain.radius * t0
     out_dir = Path(config.out_dir)
     node_header = ",".join(["t"] + [f"node_{i}" for i in range(domain.node_count)])
+    header = config.csv_header() + [node_header]
 
     times = [t0 * i / (args.frames - 1) for i in range(args.frames)]
     times[0], times[-1] = 0.0, t0
-    files = []
-    curve_lines = config.csv_header() + [node_header]
-    for i, t in enumerate(times):
-        point = evaluate(seg, t) if t != 0.0 else u0
-        name = f"frame_{i:04d}.csv"
-        _write_lines(
-            out_dir / name,
-            config.csv_header() + [node_header, _csv_row(t, point.density())],
-        )
-        curve_lines.append(_csv_row(t, point.values))
-        files.append(name)
-    _write_lines(out_dir / "curve.csv", curve_lines)
+    files = [f"frame_{i:04d}.csv" for i in range(args.frames)]
+
+    def point(t: float):
+        return evaluate(seg, t) if t != 0.0 else u0
+
+    def write_frames() -> None:
+        for name, t in zip(files, times):
+            _write_lines(out_dir / name, header + [_csv_row(repr(float(t)), point(t).density())])
+
+    out_dir.mkdir(parents=True, exist_ok=True)
+    wait = _fork_call(write_frames)
+    try:
+        curve = [_csv_row(repr(float(t)), point(t).values) for t in times]
+        _write_lines(out_dir / "curve.csv", header + curve)
+    finally:
+        wait()
 
     manifest = {
         "meta": config.meta(),
@@ -225,7 +289,7 @@ def _matrix_csv(config: RunConfig, matrix: np.ndarray, labels: list[str]) -> lis
     lines = config.csv_header()
     lines.append(",".join([""] + labels))
     for label, row in zip(labels, matrix):
-        lines.append(",".join([label] + [repr(float(x)) for x in row]))
+        lines.append(_csv_row(label, row))
     return lines
 
 

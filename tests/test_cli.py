@@ -1,11 +1,17 @@
 import json
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import calabi.cli as cli
 from calabi import evaluate, geodesic_dirichlet, load_density, project_to_space
+from calabi.stats import DensitySet, distance_matrix
 
 PI_12 = 0.2617993877991494
 
@@ -96,6 +102,114 @@ def test_interpolate_mismatched_domains(tmp_path):
     assert code == cli.EXIT_INPUT
 
 
+needs_two_cpus = pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="interpolate forks its frame writer only with two usable CPUs",
+)
+
+
+def write_random_pair(tmp_path, nodes):
+    rng = np.random.default_rng(nodes)
+    domain = {"weights": rng.uniform(0.5, 1.5, nodes).tolist()}
+    paths = []
+    for name in ("a.json", "b.json"):
+        path = tmp_path / name
+        density = np.exp(0.5 * rng.standard_normal(nodes))
+        path.write_text(json.dumps({"domain": domain, "density": density.tolist()}))
+        paths.append(str(path))
+    return paths
+
+
+def run_in_process(monkeypatch):
+    """Make the CLI see one usable CPU, so that it forks no frame writer."""
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+
+
+def record_evaluate_pids(tmp_path, monkeypatch):
+    """Append the id of each process that calls ``evaluate`` to a file."""
+    log = tmp_path / "pids.txt"
+    real = cli.evaluate
+
+    def recording(seg, t):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return real(seg, t)
+
+    monkeypatch.setattr(cli, "evaluate", recording)
+    return log
+
+
+@needs_two_cpus
+def test_forked_frame_writer_is_byte_identical_to_in_process(tmp_path, monkeypatch):
+    a, b = write_random_pair(tmp_path, 4096)
+    pids = record_evaluate_pids(tmp_path, monkeypatch)
+    argv = ["interpolate", a, b, "--frames", "5", "--out-dir"]
+    assert cli.main([*argv, str(tmp_path / "forked")]) == 0
+    forked_pids = set(pids.read_text().split())
+    pids.unlink()
+    run_in_process(monkeypatch)
+    assert cli.main([*argv, str(tmp_path / "in_process")]) == 0
+    assert len(forked_pids) == 2 and str(os.getpid()) in forked_pids
+    assert set(pids.read_text().split()) == {str(os.getpid())}
+    assert multiprocessing.active_children() == []
+
+    names = sorted(path.name for path in (tmp_path / "forked").iterdir())
+    assert names == sorted(path.name for path in (tmp_path / "in_process").iterdir())
+    assert len(names) == 7
+    for name in names:
+        assert (tmp_path / "forked" / name).read_bytes() == (tmp_path / "in_process" / name).read_bytes()
+
+    _, (u0, u1) = cli._load_inputs([a, b], None, False)
+    seg, t0 = geodesic_dirichlet(u0, u1)
+    last = (tmp_path / "forked" / "frame_0004.csv").read_text().splitlines()[-1]
+    assert last.split(",") == [repr(float(t0))] + [repr(float(x)) for x in evaluate(seg, t0).density()]
+
+
+@needs_two_cpus
+def test_failed_frame_write_in_the_child_is_an_input_error(tmp_path, monkeypatch, capfd):
+    a, b = write_random_pair(tmp_path, 64)
+    results = []
+    for run in ("forked", "in_process"):
+        if run == "in_process":
+            run_in_process(monkeypatch)
+        out = tmp_path / run
+        (out / "frame_0002.csv").mkdir(parents=True)
+        code = cli.main(["interpolate", a, b, "--frames", "5", "--out-dir", str(out)])
+        captured = capfd.readouterr()
+        results.append((code, captured.out, captured.err.replace(str(out), "OUT")))
+        assert (out / "frame_0001.csv").is_file() and not (out / "manifest.json").exists()
+    assert results[0] == results[1]
+    code, stdout, stderr = results[0]
+    assert code == cli.EXIT_INPUT and stdout == ""
+    assert stderr.startswith("error: ") and "OUT/frame_0002.csv" in stderr
+    assert stderr.count("\n") == 1
+    assert multiprocessing.active_children() == []
+
+
+def test_failed_curve_write_still_reaps_the_frame_writer(tmp_path, capsys):
+    a, b = write_random_pair(tmp_path, 64)
+    out = tmp_path / "frames"
+    (out / "curve.csv").mkdir(parents=True)
+    assert cli.main(["interpolate", a, b, "--frames", "5", "--out-dir", str(out)]) == cli.EXIT_INPUT
+    assert multiprocessing.active_children() == []
+    assert "curve.csv" in capsys.readouterr().err
+    assert sorted(path.name for path in out.glob("frame_*.csv")) == [f"frame_{i:04d}.csv" for i in range(5)]
+    assert not (out / "manifest.json").exists()
+
+
+def test_commands_other_than_interpolate_do_not_import_multiprocessing(tmp_path):
+    a, b = write_d2_pair(tmp_path)
+    script = (
+        "import sys, calabi.cli\n"
+        f"assert calabi.cli.main(['distance', {a!r}, {b!r}]) == 0\n"
+        "print('multiprocessing' in sys.modules, file=sys.stderr)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == "False\n"
+
+
 def test_verify_command_passes(tmp_path):
     report_path = tmp_path / "report.json"
     code = cli.main(["verify", "32", "--report", str(report_path), "--seed", "2"])
@@ -138,6 +252,17 @@ def test_distance_csv_and_json(tmp_path, capsys):
     matrix = np.array(payload["matrix"])
     assert matrix[0, 0] == 0.0
     assert matrix[0, 1] == pytest.approx(PI_12, abs=1e-13)
+
+
+def test_distance_csv_cells_are_the_repr_of_the_matrix(tmp_path, capsys):
+    paths = write_shared_domain_files(tmp_path, 4)
+    assert cli.main(["distance", *paths]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines() if not line.startswith("#")]
+    _, points = cli._load_inputs(paths, None, False)
+    matrix = distance_matrix(DensitySet(points))
+    assert rows[0] == ["", *(Path(p).name for p in paths)]
+    for path, row, expected in zip(paths, rows[1:], matrix):
+        assert row == [Path(path).name, *(repr(float(x)) for x in expected)]
 
 
 def test_distance_of_identical_inputs_is_zero(tmp_path, capsys):
