@@ -29,6 +29,10 @@ __all__ = [
 # Relative slack allowed between the recorded volume and the exact sum of weights.
 VOL_TOL = 1e-12
 
+# Longest row for which one einsum over a C-contiguous (k, N) stack rounds
+# every row exactly as einsum does on that row alone.
+_STACK_EINSUM_NODES = 8192
+
 
 @dataclass(frozen=True, eq=False)
 class GridShape:
@@ -115,10 +119,12 @@ def integrate(domain: QuadratureDomain, field) -> float | np.ndarray:
     nodes).  It sums with ``np.einsum`` on the calling thread, never with
     numpy's ``dot`` or ``@``: those hand a 65536-node sum to the OpenBLAS
     thread pool, which keeps spinning after it; on a 2-CPU host with
-    OpenBLAS 0.3.31 one such sum took 440 us, against 39 us here.  A stack
-    is summed row by row, because einsum blocks a row of more than 8192
-    nodes differently inside a stack than on its own, which changes the
-    last bits.
+    OpenBLAS 0.3.31 one such sum took 440 us, against 39 us here.  A
+    C-contiguous stack of rows of at most 8192 nodes is summed by one
+    einsum, which rounds each row exactly as on its own (checked with numpy
+    2.4 for every row length up to 8192).  Any other stack is summed row by
+    row: einsum blocks a row of more than 8192 nodes differently inside a
+    stack than on its own, which changes the last bits.
     """
     f = np.asarray(field, dtype=float)
     if f.ndim not in (1, 2) or f.shape[-1] != domain.node_count:
@@ -128,6 +134,8 @@ def integrate(domain: QuadratureDomain, field) -> float | np.ndarray:
         )
     if f.ndim == 1:
         return float(np.einsum("j,j->", f, domain.weights))
+    if f.flags.c_contiguous and f.shape[1] <= _STACK_EINSUM_NODES:
+        return np.einsum("ij,j->i", f, domain.weights)
     return np.array([np.einsum("j,j->", row, domain.weights) for row in f])
 
 

@@ -125,9 +125,12 @@ def karcher_mean(
     a step is halved until it stays inside the exponential domain and
     achieves the decrease.
 
-    Raises ConvergenceError after ``max_iter`` iterations and a domain error
-    if the inputs are too spread out for the mean to be well posed.
+    Raises ConvergenceError after ``max_iter`` iterations, a domain error
+    if the inputs are too spread out for the mean to be well posed, and
+    ValueError for a negative ``max_iter``.
     """
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be non-negative, got {max_iter}")
     limit = 0.5 * math.pi * dset.domain.radius - UNIQUENESS_MARGIN
     pairs, d = _pair_distances(dset, _half_densities(dset))
     far = np.flatnonzero(d >= limit)

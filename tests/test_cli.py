@@ -104,7 +104,7 @@ def test_interpolate_mismatched_domains(tmp_path):
 
 needs_two_cpus = pytest.mark.skipif(
     not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
-    reason="interpolate forks its frame writer only with two usable CPUs",
+    reason="the CLI forks a helper process only with two usable CPUs",
 )
 
 
@@ -121,7 +121,7 @@ def write_random_pair(tmp_path, nodes):
 
 
 def run_in_process(monkeypatch):
-    """Make the CLI see one usable CPU, so that it forks no frame writer."""
+    """Make the CLI see one usable CPU, so that it forks no helper process."""
     monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
 
 
@@ -316,6 +316,107 @@ def test_later_file_with_a_different_domain_is_rejected(tmp_path, capsys, inline
     assert "other.json carries a domain different" in capsys.readouterr().err
 
 
+def read_in_two_processes(monkeypatch):
+    """Make the CLI fork its density reader for more than two files, however small."""
+    monkeypatch.setattr(cli, "_FORK_READ_BYTES", 1)
+
+
+def record_json_pids(tmp_path, monkeypatch):
+    """Append the id of each process that calls ``json.loads`` to a file."""
+    log = tmp_path / "json_pids.txt"
+    real = json.loads
+
+    def recording(text, **kwargs):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return real(text, **kwargs)
+
+    monkeypatch.setattr(json, "loads", recording)
+    return log
+
+
+READER_COMMANDS = [["distance"], ["distance", "--json"], ["mean"]]
+
+
+@needs_two_cpus
+def test_forked_reader_is_byte_identical_to_in_process(tmp_path, monkeypatch, capsys):
+    paths = write_shared_domain_files(tmp_path, 6)
+    read_in_two_processes(monkeypatch)
+    pids = record_json_pids(tmp_path, monkeypatch)
+    forked = []
+    for command in READER_COMMANDS:
+        assert cli.main([command[0], *paths, *command[1:]]) == 0
+        forked.append(capsys.readouterr())
+        # The domain file and the first three density files are parsed
+        # here, the last three in one child.
+        calls = pids.read_text().split()
+        pids.unlink()
+        child = set(calls) - {str(os.getpid())}
+        assert len(child) == 1 and calls.count(str(os.getpid())) == 4 and len(calls) == 7
+        assert multiprocessing.active_children() == []
+    run_in_process(monkeypatch)
+    for command, expected in zip(READER_COMMANDS, forked):
+        assert cli.main([command[0], *paths, *command[1:]]) == 0
+        assert capsys.readouterr() == expected
+    assert set(pids.read_text().split()) == {str(os.getpid())}
+
+
+def run_reader_three_ways(argv, monkeypatch, capsys):
+    """(exit code, stdout, stderr) of ``argv`` read in one process, read by
+    two processes, and split but read in one process."""
+    results = []
+    with monkeypatch.context() as patch:
+        for run in ("unsplit", "forked", "split_in_process"):
+            if run == "forked":
+                read_in_two_processes(patch)
+            if run == "split_in_process":
+                run_in_process(patch)
+            code = cli.main(argv)
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err))
+            assert multiprocessing.active_children() == []
+    return results
+
+
+@needs_two_cpus
+def test_domain_mismatch_in_the_parents_half_beats_invalid_json_in_the_childs_half(
+    tmp_path, monkeypatch, capsys
+):
+    paths = write_shared_domain_files(tmp_path, 6)
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps({"domain": {"weights": [1.0 / 32] * 16}, "u": [0.0] * 16}))
+    Path(paths[4]).write_text("{not json")
+    results = run_reader_three_ways(["distance", paths[0], str(other), *paths[1:]], monkeypatch, capsys)
+    assert results[0] == results[1] == results[2]
+    code, stdout, stderr = results[0]
+    assert code == cli.EXIT_INPUT and stdout == ""
+    assert stderr == f"error: {other} carries a domain different from the shared one\n"
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("fault", ["invalid_json", "missing_file", "negative_density", "text_density"])
+def test_fault_in_the_childs_half_is_reported_as_in_one_process(tmp_path, monkeypatch, capsys, fault):
+    paths = write_shared_domain_files(tmp_path, 6)
+    domain = json.loads(Path(paths[0]).read_text())["domain"]
+    if fault == "invalid_json":
+        Path(paths[4]).write_text("{not json")
+    elif fault == "missing_file":
+        Path(paths[4]).unlink()
+    elif fault == "negative_density":
+        Path(paths[4]).write_text(json.dumps({"domain": domain, "density": [-1.0] * 16}))
+    else:
+        Path(paths[4]).write_text(json.dumps({"domain": domain, "density": ["x"] * 16}))
+    # A later fault must not be the one reported.
+    Path(paths[5]).write_text("[")
+    for command in READER_COMMANDS:
+        results = run_reader_three_ways([command[0], *paths, *command[1:]], monkeypatch, capsys)
+        assert results[0] == results[1] == results[2]
+        code, stdout, stderr = results[0]
+        assert code == cli.EXIT_INPUT and stdout == ""
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1
+        assert paths[4] in stderr and paths[5] not in stderr
+
+
 def test_normalize_flag_rescales_volume(tmp_path, capsys):
     domain = {"weights": [0.5, 0.5]}  # vol 1, radius 2
     a = tmp_path / "a.json"
@@ -342,6 +443,12 @@ def test_mean_command_matches_midpoint(tmp_path, capsys):
     seg, t0 = geodesic_dirichlet(u0, u1)
     midpoint = evaluate(seg, t0 / 2.0)
     assert np.allclose(payload["u"], midpoint.values, atol=1e-9)
+
+
+def test_mean_rejects_a_negative_iteration_budget(tmp_path, capsys):
+    a, b = write_d2_pair(tmp_path)
+    assert cli.main(["mean", a, b, "--max-iter", "-3"]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err == "error: max_iter must be non-negative, got -3\n"
 
 
 def test_mean_convergence_exit_code(tmp_path, rng):

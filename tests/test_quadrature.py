@@ -38,16 +38,18 @@ def test_integrate_length_mismatch(d2):
             integrate(d2, field)
 
 
-@pytest.mark.parametrize("nodes", [64, 10000])
+@pytest.mark.parametrize("nodes", [64, 8192, 8193, 10000])
 def test_integrate_stack_matches_rows(rng, nodes):
     # Past 8192 nodes a single einsum over the stack would round its rows
-    # differently from the same fields integrated on their own.
+    # differently from the same fields integrated on their own; Fortran-ordered
+    # stacks are summed row by row at every size.
     weights = rng.uniform(0.5, 1.5, nodes)
     dom = QuadratureDomain(weights=weights, vol=math.fsum(weights.tolist()))
     fields = rng.standard_normal((5, nodes))
-    out = integrate(dom, fields)
-    assert out.shape == (5,)
-    assert np.array_equal(out, [integrate(dom, f) for f in fields])
+    for stack in (fields, np.asfortranarray(fields)):
+        out = integrate(dom, stack)
+        assert out.shape == (5,)
+        assert np.array_equal(out, [integrate(dom, f) for f in stack])
 
 
 @pytest.mark.parametrize("nodes", [64, 65536])

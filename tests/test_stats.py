@@ -142,6 +142,12 @@ def test_mean_convergence_error_carries_residual(rng, d16):
     assert err.value.residual > 0.0
 
 
+def test_mean_rejects_a_negative_iteration_budget(rng, d16):
+    pts = [random_point(d16, rng, amplitude=0.5) for _ in range(3)]
+    with pytest.raises(ValueError, match="max_iter must be non-negative, got -3"):
+        karcher_mean(DensitySet(pts), max_iter=-3)
+
+
 def test_distance_matrix_singleton(rng, d16):
     u = random_point(d16, rng)
     assert np.array_equal(distance_matrix(DensitySet([u])), [[0.0]])
