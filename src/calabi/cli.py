@@ -16,7 +16,10 @@ failure, 4 convergence failure.  When at least two CPUs are usable,
 it writes ``curve.csv`` itself, and ``distance`` and ``mean`` read the second
 half of a large set of density files in one forked helper process while they
 read the first half themselves.  Outputs, error messages and exit codes are
-byte-identical either way.
+byte-identical either way.  ``interpolate`` formats and writes each CSV file
+one row at a time, so its memory does not grow with ``--frames``; a failure
+part-way through can leave a partial ``curve.csv``, as it can leave a partial
+set of frame files.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import hashlib
 import json
 import os
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -217,8 +221,16 @@ def _load_inputs(paths: list[str], domain_path: str | None, normalize: bool):
     return domain, points
 
 
-def _write_lines(path: Path, lines: list[str]) -> None:
-    path.write_text("\n".join(lines) + "\n")
+def _print_lines(lines: Iterable[str], file=None) -> None:
+    """Write each of ``lines`` and a newline to ``file`` (default stdout) in
+    turn, so that a generator of lines is held one line at a time."""
+    for line in lines:
+        print(line, file=file)
+
+
+def _write_lines(path: Path, lines: Iterable[str]) -> None:
+    with open(path, "w") as fh:
+        _print_lines(lines, fh)
 
 
 def _emit(lines: list[str], path: str | None) -> None:
@@ -227,7 +239,7 @@ def _emit(lines: list[str], path: str | None) -> None:
         Path(path).parent.mkdir(parents=True, exist_ok=True)
         _write_lines(Path(path), lines)
     else:
-        print("\n".join(lines))
+        _print_lines(lines)
 
 
 def _csv_row(first: str, values: np.ndarray) -> str:
@@ -312,15 +324,20 @@ def cmd_interpolate(args: argparse.Namespace) -> int:
     def point(t: float):
         return evaluate(seg, t) if t != 0.0 else u0
 
+    def csv_lines(ts, values):
+        """The header, then the row ``t, values(point(t))`` for each of ``ts``."""
+        yield from header
+        for t in ts:
+            yield _csv_row(repr(float(t)), values(point(t)))
+
     def write_frames() -> None:
         for name, t in zip(files, times):
-            _write_lines(out_dir / name, header + [_csv_row(repr(float(t)), point(t).density())])
+            _write_lines(out_dir / name, csv_lines([t], lambda p: p.density()))
 
     out_dir.mkdir(parents=True, exist_ok=True)
     wait = _fork_call(write_frames)
     try:
-        curve = [_csv_row(repr(float(t)), point(t).values) for t in times]
-        _write_lines(out_dir / "curve.csv", header + curve)
+        _write_lines(out_dir / "curve.csv", csv_lines(times, lambda p: p.values))
     finally:
         wait()
 

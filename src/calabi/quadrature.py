@@ -62,9 +62,11 @@ class QuadratureDomain:
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
-        object.__setattr__(self, "weights", w)
         if w.ndim != 1:
             raise ValueError(f"weights must be a 1D array, got shape {w.shape}")
+        # Contiguous, so that equal weights give ``integrate`` the same bits.
+        w = np.ascontiguousarray(w)
+        object.__setattr__(self, "weights", w)
         if w.size < 2:
             raise ValueError(f"need at least 2 nodes, got {w.size}")
         if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
@@ -124,7 +126,11 @@ def integrate(domain: QuadratureDomain, field) -> float | np.ndarray:
     einsum, which rounds each row exactly as on its own (checked with numpy
     2.4 for every row length up to 8192).  Any other stack is summed row by
     row: einsum blocks a row of more than 8192 nodes differently inside a
-    stack than on its own, which changes the last bits.
+    stack than on its own, which changes the last bits.  einsum also sums a
+    strided field in another order than a contiguous one, so a
+    non-contiguous field, such as a row of a Fortran-ordered stack, is
+    summed from a C-contiguous copy: equal fields integrate to the same bits
+    whatever their memory layout.  A contiguous field is summed in place.
     """
     f = np.asarray(field, dtype=float)
     if f.ndim not in (1, 2) or f.shape[-1] != domain.node_count:
@@ -133,10 +139,10 @@ def integrate(domain: QuadratureDomain, field) -> float | np.ndarray:
             f"or (k, {domain.node_count})"
         )
     if f.ndim == 1:
-        return float(np.einsum("j,j->", f, domain.weights))
+        return float(np.einsum("j,j->", np.ascontiguousarray(f), domain.weights))
     if f.flags.c_contiguous and f.shape[1] <= _STACK_EINSUM_NODES:
         return np.einsum("ij,j->i", f, domain.weights)
-    return np.array([np.einsum("j,j->", row, domain.weights) for row in f])
+    return np.array([integrate(domain, row) for row in f])
 
 
 def make_normalized_domain(node_count: int) -> QuadratureDomain:

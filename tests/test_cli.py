@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -195,6 +196,68 @@ def test_failed_curve_write_still_reaps_the_frame_writer(tmp_path, capsys):
     assert "curve.csv" in capsys.readouterr().err
     assert sorted(path.name for path in out.glob("frame_*.csv")) == [f"frame_{i:04d}.csv" for i in range(5)]
     assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("run", [pytest.param("forked", marks=needs_two_cpus), "in_process"])
+def test_streamed_csv_files_are_the_joined_rows(tmp_path, monkeypatch, run):
+    a, b = write_random_pair(tmp_path, 4096)
+    if run == "in_process":
+        run_in_process(monkeypatch)
+    out = tmp_path / "frames"
+    assert cli.main(["interpolate", a, b, "--frames", "5", "--out-dir", str(out), "--seed", "3"]) == 0
+
+    _, (u0, u1) = cli._load_inputs([a, b], None, False)
+    seg, t0 = geodesic_dirichlet(u0, u1)
+    times = [0.0, t0 / 4, t0 / 2, 3 * t0 / 4, t0]
+    points = [u0] + [evaluate(seg, t) for t in times[1:]]
+    header = cli.RunConfig(seed=3, extra={"command": "interpolate", "frames": 5}).csv_header()
+    header.append(",".join(["t"] + [f"node_{i}" for i in range(4096)]))
+
+    def row(t, values):
+        return ",".join([repr(float(t))] + [repr(float(x)) for x in values])
+
+    curve = header + [row(t, p.values) for t, p in zip(times, points)]
+    frame = header + [row(times[2], points[2].density())]
+    assert (out / "curve.csv").read_bytes() == ("\n".join(curve) + "\n").encode()
+    assert (out / "frame_0002.csv").read_bytes() == ("\n".join(frame) + "\n").encode()
+    assert multiprocessing.active_children() == []
+
+
+def test_interpolate_memory_does_not_grow_with_the_frame_count(tmp_path, monkeypatch):
+    # Every term of the peak scales with the node count, so 4096 nodes show
+    # the growth a larger pair would; tracemalloc makes each row costly.
+    a, b = write_random_pair(tmp_path, 4096)
+    run_in_process(monkeypatch)
+    peaks = {}
+    for frames in (4, 32):
+        argv = ["interpolate", a, b, "--frames", str(frames), "--out-dir", str(tmp_path / str(frames))]
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            peaks[frames] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[32] <= 1.25 * peaks[4], peaks
+
+
+def assert_one_final_newline(text):
+    lines = text.split("\n")
+    assert lines[-1] == "" and "" not in lines[:-1]
+
+
+def test_outputs_end_in_exactly_one_newline(tmp_path, capsys):
+    a, b = write_d2_pair(tmp_path)
+    assert cli.main(["distance", a, b]) == 0
+    assert_one_final_newline(capsys.readouterr().out)
+    runs = [
+        (["distance", a, b, "--out", str(tmp_path / "d.csv")], tmp_path / "d.csv"),
+        (["mean", a, b, "--out", str(tmp_path / "m.json")], tmp_path / "m.json"),
+        (["verify", "16", "--report", str(tmp_path / "r.json")], tmp_path / "r.json"),
+        (["interpolate", a, b, "--frames", "3", "--out-dir", str(tmp_path)], tmp_path / "manifest.json"),
+    ]
+    for argv, path in runs:
+        assert cli.main(argv) == 0
+        assert_one_final_newline(path.read_text())
 
 
 def test_commands_other_than_interpolate_do_not_import_multiprocessing(tmp_path):

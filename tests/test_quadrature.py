@@ -52,6 +52,25 @@ def test_integrate_stack_matches_rows(rng, nodes):
         assert np.array_equal(out, [integrate(dom, f) for f in stack])
 
 
+@pytest.mark.parametrize("nodes", [64, 4096, 65536])
+def test_equal_fields_integrate_to_the_same_bits_whatever_their_layout(rng, nodes):
+    # einsum sums a strided row in another order than a contiguous one.
+    weights = rng.uniform(0.5, 1.5, nodes)
+    dom = QuadratureDomain(weights=weights, vol=math.fsum(weights.tolist()))
+    fields = rng.standard_normal((5, nodes))
+    expected = [integrate(dom, f.copy()) for f in fields]
+    wide = np.zeros((5, 2 * nodes))
+    wide[:, ::2] = fields
+    for stack in (np.asfortranarray(fields), wide[:, ::2]):
+        assert not stack[0].flags.c_contiguous
+        assert [integrate(dom, row) for row in stack] == expected
+        assert integrate(dom, stack).tolist() == expected
+    strided_weights = np.zeros(2 * nodes)
+    strided_weights[::2] = weights
+    strided_dom = QuadratureDomain(weights=strided_weights[::2], vol=dom.vol)
+    assert [integrate(strided_dom, f) for f in fields] == expected
+
+
 @pytest.mark.parametrize("nodes", [64, 65536])
 def test_distance_cosine_is_the_integral(rng, nodes):
     dom = make_normalized_domain(nodes)
