@@ -48,18 +48,15 @@ from .gradient_metric import (
     gradient_inner,
     gradient_inner_gradform,
     laplacian,
-    load_grid_potential,
     make_grid_potential,
     normalization_value,
     project_to_grid_tangent,
 )
 from .immersion import (
-    SpherePoint,
     chordal_vs_geodesic,
     immerse,
     pushforward,
     sphere_transport_oracle,
-    to_conformal,
 )
 from .jacobi import (
     ConjugateScan,

@@ -5,7 +5,11 @@ Commands::
     calabi interpolate U0.json U1.json --frames 20 --out-dir frames/
     calabi verify 64 --report report.json
     calabi distance A.json B.json C.json [--json] [--out matrix.csv]
-    calabi mean A.json B.json [--out mean.json]
+    calabi mean A.json B.json [--tol 1e-10] [--max-iter 100] [--out mean.json]
+
+Every command takes ``--seed`` and ``--normalize``; ``interpolate``,
+``distance`` and ``mean`` also take ``--domain``.  A command parses only the
+flags it reads.
 
 Density and domain files use the JSON forms documented in ``space`` and
 ``quadrature``.  Every file output starts with a header carrying the tool
@@ -66,7 +70,6 @@ class RunConfig:
     seed: int = 0
     tol: float = 1e-10
     normalize: bool = False
-    out_dir: str = ""
     extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -103,11 +106,11 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     extra = {"command": args.command}
     if getattr(args, "frames", None) is not None:
         extra["frames"] = args.frames
+    # only mean reads tol; the other commands hash its default
     return RunConfig(
         seed=args.seed,
-        tol=args.tol,
+        tol=getattr(args, "tol", RunConfig.tol),
         normalize=args.normalize,
-        out_dir=args.out_dir or os.environ.get(OUTPUT_DIR_ENV, "."),
         extra=extra,
     )
 
@@ -313,7 +316,7 @@ def cmd_interpolate(args: argparse.Namespace) -> int:
     domain, (u0, u1) = _load_inputs([args.u0, args.u1], args.domain, args.normalize)
     seg, t0 = geodesic_dirichlet(u0, u1)
     d = domain.radius * t0
-    out_dir = Path(config.out_dir)
+    out_dir = Path(args.out_dir or os.environ.get(OUTPUT_DIR_ENV, "."))
     node_header = ",".join(["t"] + [f"node_{i}" for i in range(domain.node_count)])
     header = config.csv_header() + [node_header]
 
@@ -409,32 +412,28 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"calabi {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--domain", help="domain JSON file overriding inline domains")
-        p.add_argument("--tol", type=float, default=1e-10, help="solver tolerance")
+    def common(p: argparse.ArgumentParser, domain: bool = True) -> None:
+        if domain:
+            p.add_argument("--domain", help="domain JSON file overriding inline domains")
         p.add_argument("--seed", type=int, default=0, help="random seed (recorded in outputs)")
         p.add_argument(
             "--normalize",
             action="store_true",
             help="rescale the domain to total volume 1/4 before computing",
         )
-        p.add_argument(
-            "--out-dir",
-            default=None,
-            help=f"output directory (default: ${OUTPUT_DIR_ENV} or '.')",
-        )
 
     p = sub.add_parser("interpolate", help="geodesic interpolation between two densities")
     p.add_argument("u0", help="density JSON for the start point")
     p.add_argument("u1", help="density JSON for the end point")
     p.add_argument("--frames", type=int, default=16, help="number of snapshots")
+    p.add_argument("--out-dir", help=f"output directory (default: ${OUTPUT_DIR_ENV} or '.')")
     common(p)
     p.set_defaults(func=cmd_interpolate)
 
     p = sub.add_parser("verify", help="run the full invariant suite")
     p.add_argument("target", help="node count for a normalized domain, or a domain JSON file")
     p.add_argument("--report", help="write the JSON report to this path")
-    common(p)
+    common(p, domain=False)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("distance", help="pairwise distance matrix of densities")
@@ -446,6 +445,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mean", help="geodesic mean of densities")
     p.add_argument("inputs", nargs="+", help="density JSON files")
+    p.add_argument("--tol", type=float, default=RunConfig.tol, help="convergence tolerance")
     p.add_argument("--max-iter", type=int, default=100, help="iteration budget")
     p.add_argument("--out", help="write to this path instead of stdout")
     common(p)

@@ -25,15 +25,13 @@ a potential-dependent elliptic solve and are out of scope.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ConstraintError, DomainMismatchError
-from .quadrature import QuadratureDomain, integrate, make_torus_grid
+from .quadrature import QuadratureDomain, integrate
 
 __all__ = [
     "GridPotential",
@@ -49,18 +47,11 @@ __all__ = [
     "gradient_geodesic",
     "gradient_admissible_interval",
     "gradient_curvature",
-    "load_grid_potential",
-    "grid_potential_to_dict",
 ]
 
 EPS_NORMALIZATION = 1e-10
 
 FD_CURVATURE_DELTA = 1e-3
-
-# Nodes of the path integral defining the normalization functional.
-_GAUSS_S, _GAUSS_W = np.polynomial.legendre.leggauss(16)
-_GAUSS_S = 0.5 * (_GAUSS_S + 1.0)
-_GAUSS_W = 0.5 * _GAUSS_W
 
 
 def _require_grid(domain: QuadratureDomain) -> None:
@@ -100,30 +91,22 @@ def grad_forward(domain: QuadratureDomain, field) -> tuple[np.ndarray, np.ndarra
 def normalization_value(domain: QuadratureDomain, values) -> float:
     """Path-integral normalization functional of a raw potential.
 
-    Computed by 16-point Gauss quadrature of s -> integrate(phi (1 + s lap phi))
-    over [0, 1], divided by the volume; subtracting this constant from the
-    potential makes the functional vanish exactly.
+    The path integral of s -> integrate(phi (1 + s lap phi)) over [0, 1],
+    divided by the volume; the integrand is linear in s, so this is
+    (integrate(phi) + integrate(phi lap phi) / 2) / vol.  Subtracting this
+    constant from the potential makes the functional vanish exactly.
     """
     v = domain.check_field(values)
-    base = integrate(domain, v)
     cross = integrate(domain, v * laplacian(domain, v))
-    total = 0.0
-    for s, w in zip(_GAUSS_S, _GAUSS_W):
-        total += w * (base + s * cross)
-    return total / domain.vol
+    return (integrate(domain, v) + 0.5 * cross) / domain.vol
 
 
 @dataclass(frozen=True, eq=False)
 class GridPotential:
-    """A normalized potential: 1 + lap(phi) > 0 with zero normalization value.
-
-    ``offset`` records the constant subtracted at construction so the
-    original raw field can be recovered exactly.
-    """
+    """A normalized potential: 1 + lap(phi) > 0 with zero normalization value."""
 
     domain: QuadratureDomain
     values: np.ndarray
-    offset: float = 0.0
 
     def __post_init__(self):
         _require_grid(self.domain)
@@ -169,8 +152,7 @@ class GridTangent:
 def make_grid_potential(domain: QuadratureDomain, raw) -> GridPotential:
     """Normalize a raw potential by subtracting its normalization value."""
     v = domain.check_field(raw)
-    offset = normalization_value(domain, v)
-    return GridPotential(domain, v - offset, offset=offset)
+    return GridPotential(domain, v - normalization_value(domain, v))
 
 
 def project_to_grid_tangent(phi: GridPotential, raw) -> GridTangent:
@@ -267,7 +249,7 @@ def gradient_geodesic(phi0: GridPotential, psi0: GridTangent, t: float) -> GridP
     dom = phi0.domain
     energy = gradient_inner(phi0, psi0, psi0)
     values = (energy / (2.0 * dom.vol)) * t**2 + psi0.values * t + phi0.values
-    return GridPotential(dom, values, offset=phi0.offset)
+    return GridPotential(dom, values)
 
 
 def gradient_curvature(
@@ -316,21 +298,3 @@ def gradient_curvature(
         dom, d_t(0.0, 0.0), vb
     ) / dom.vol
     return _pairing(dom, dt_ds - ds_dt, d.values)
-
-
-def load_grid_potential(source: str | Path | dict, total_vol: float = 1.0) -> GridPotential:
-    """Load from JSON {"nx":.., "ny":.., "phi": [..], "vol": optional}."""
-    if isinstance(source, (str, Path)):
-        with open(source) as fh:
-            obj = json.load(fh)
-    else:
-        obj = source
-    nx, ny = int(obj["nx"]), int(obj["ny"])
-    vol = float(obj.get("vol", total_vol))
-    domain = make_torus_grid(nx, ny, vol)
-    return make_grid_potential(domain, np.asarray(obj["phi"], dtype=float))
-
-
-def grid_potential_to_dict(phi: GridPotential) -> dict:
-    g = phi.domain.grid
-    return {"nx": g.nx, "ny": g.ny, "vol": phi.domain.vol, "phi": phi.values.tolist()}

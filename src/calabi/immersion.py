@@ -10,52 +10,24 @@ as exact cross-checks for the intrinsic implementations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .geodesics import GeodesicSegment, distance, evaluate
-from .quadrature import QuadratureDomain, integrate
+from .quadrature import integrate
 from .space import ConformalFactor, TangentVector, _check_based_at
 
 __all__ = [
-    "SpherePoint",
     "immerse",
-    "to_conformal",
     "pushforward",
     "chordal_vs_geodesic",
     "sphere_transport_oracle",
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class SpherePoint:
-    """A strictly positive field with integrate(f^2) = radius^2 = 4*vol."""
-
-    domain: QuadratureDomain
-    values: np.ndarray
-    radius: float
-
-    def __post_init__(self):
-        f = self.domain.check_field(self.values)
-        object.__setattr__(self, "values", f)
-        if np.any(f <= 0.0):
-            raise ValueError("sphere points are strictly positive fields")
-        sq = integrate(self.domain, f * f)
-        if abs(sq - self.radius**2) > 1e-12 * self.radius**2:
-            raise ValueError(
-                f"integrate(f^2) = {sq!r} but radius^2 = {self.radius**2!r}"
-            )
-
-
-def immerse(u: ConformalFactor) -> SpherePoint:
-    """Image 2 e^(u/2) of a point; the norm constraint is automatic."""
-    return SpherePoint(u.domain, 2.0 * u.half_density(), u.domain.radius)
-
-
-def to_conformal(p: SpherePoint) -> ConformalFactor:
-    """Inverse of ``immerse``: u = 2 log(f / 2)."""
-    return ConformalFactor(p.domain, 2.0 * np.log(0.5 * p.values))
+def immerse(u: ConformalFactor) -> np.ndarray:
+    """The image field 2 e^(u/2); integrate(f^2) = rho^2 holds wherever
+    integrate(e^u) = vol does."""
+    return 2.0 * u.half_density()
 
 
 def pushforward(u: ConformalFactor, v: TangentVector) -> np.ndarray:
@@ -68,9 +40,7 @@ def chordal_vs_geodesic(u0: ConformalFactor, u1: ConformalFactor) -> tuple[float
 
     They satisfy chord = 2 rho sin(arc / (2 rho)), so chord <= arc always.
     """
-    f0 = immerse(u0)
-    f1 = immerse(u1)
-    diff = f0.values - f1.values
+    diff = immerse(u0) - immerse(u1)
     chord = float(np.sqrt(integrate(u0.domain, diff * diff)))
     return chord, distance(u0, u1).d
 
@@ -91,7 +61,7 @@ def sphere_transport_oracle(seg: GeodesicSegment, v0: TangentVector, t: float) -
     u_t = evaluate(seg, t)
     dom = seg.domain
     rho = dom.radius
-    p = immerse(seg.start).values
+    p = immerse(seg.start)
     tangent_unit = pushforward(seg.start, seg.velocity) / seg.speed
     y0 = pushforward(seg.start, v0)
     a = integrate(dom, y0 * tangent_unit)

@@ -32,7 +32,7 @@ import numpy as np
 
 from .connection import _rk4
 from .errors import ConstraintError
-from .geodesics import GeodesicSegment, evaluate
+from .geodesics import GeodesicSegment
 from .space import TangentVector, inner
 
 __all__ = [
@@ -77,8 +77,9 @@ class JacobiClosedForm:
     def evaluate(self, t: float) -> np.ndarray:
         seg = self.geodesic
         seg._check_time(t)
-        c, s, _ = seg._profile(t)
-        return (self.coef_cos * c + self.coef_sin * s) / evaluate(seg, t).half_density()
+        c, s, g = seg._profile(t)
+        # e^(u(t)/2) = e^(u0/2) g along the geodesic
+        return (self.coef_cos * c + self.coef_sin * s) / (seg.start.half_density() * g)
 
 
 def _closed_form(seg: GeodesicSegment, j0: np.ndarray, dtj0: np.ndarray) -> JacobiClosedForm:

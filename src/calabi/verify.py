@@ -247,7 +247,7 @@ def run_report(domain: QuadratureDomain, seed: int = 0) -> dict:
     rel = immersion_isometry_error(u0, t1, t2)
     report["immersion_isometry_rel_err"] = rel
     check("immersion_isometry", rel <= 1e-13)
-    norm_sq = integrate(domain, immerse(u0).values ** 2)
+    norm_sq = integrate(domain, immerse(u0) ** 2)
     check("immersion_norm", abs(norm_sq - rho**2) <= 1e-12 * rho**2)
 
     v_t = parallel_transport(seg, j0, t_probe)

@@ -312,13 +312,13 @@ def test_criterion_08_immersion_isometry():
         u0 = random_point(dom, rng, amplitude=0.4)
         v0 = random_admissible_tangent(u0, rng, fill=0.8)
         seg = geodesic_cauchy(u0, v0)
-        f0 = immerse(u0).values
+        f0 = immerse(u0)
         g0 = pushforward(u0, v0)
         nf = integrate(dom, f0 * f0)
         ng = integrate(dom, g0 * g0)
         for frac in (-0.9, 0.5, 0.95):
             t = frac * (seg.t_max if frac > 0 else -seg.t_min)
-            f_t = immerse(evaluate(seg, t)).values
+            f_t = immerse(evaluate(seg, t))
             resid = (
                 f_t
                 - integrate(dom, f_t * f0) / nf * f0

@@ -540,3 +540,40 @@ def test_run_config_validation():
     cfg = cli.RunConfig(seed=3)
     assert len(cfg.hash()) == 12
     assert cfg.meta()["tool"] == "calabi"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "64", "--domain", "/nonexistent.json"],
+        ["verify", "64", "--tol", "1e-9"],
+        ["verify", "64", "--out-dir", "/nonexistent/dir"],
+        ["distance", "a.json", "b.json", "--tol", "1e-9"],
+        ["distance", "a.json", "b.json", "--out-dir", "out"],
+        ["mean", "a.json", "b.json", "--out-dir", "out"],
+        ["interpolate", "a.json", "b.json", "--tol", "1e-9"],
+    ],
+)
+def test_flags_a_command_does_not_read_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == cli.EXIT_INPUT
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["interpolate", "a", "b"], "63c37aa53805"),
+        (["interpolate", "a", "b", "--frames", "8", "--seed", "3"], "ee900adfd350"),
+        (["verify", "1024"], "e13c2a4cdbe5"),
+        (["verify", "64", "--seed", "2"], "446bbd96fe05"),
+        (["distance", "a", "b"], "b3c14f83cf45"),
+        (["distance", "a", "b", "--normalize"], "f5897f8cbc2b"),
+        (["mean", "a", "b"], "68fa03a078dc"),
+        (["mean", "a", "b", "--tol", "1e-12"], "f6a976aa4431"),
+    ],
+)
+def test_config_hash_of_a_command_line_is_frozen(argv, digest):
+    args = cli._build_parser().parse_args(argv)
+    assert cli._config_from_args(args).hash() == digest

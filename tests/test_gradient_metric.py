@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -17,14 +16,12 @@ from calabi import (
     gradient_inner,
     gradient_inner_gradform,
     laplacian,
-    load_grid_potential,
     make_normalized_domain,
     make_torus_grid,
     make_grid_potential,
     normalization_value,
     project_to_grid_tangent,
 )
-from calabi.gradient_metric import grid_potential_to_dict
 
 
 @pytest.fixture
@@ -70,8 +67,6 @@ def test_normalization_is_exact(grid8, rng):
     raw = 0.001 * rng.standard_normal(64)
     phi = make_grid_potential(grid8, raw)
     assert abs(normalization_value(grid8, phi.values)) <= 1e-12
-    # offset restores the raw field
-    assert np.allclose(phi.values + phi.offset, raw, atol=1e-15)
 
 
 def test_potential_positivity_enforced(grid8):
@@ -232,15 +227,6 @@ def test_curvature_vanishes(phi0, rng):
     assert abs(value) <= 1e-6
     swapped = gradient_curvature(phi0, args[1], args[0], args[2], args[3])
     assert abs(swapped) <= 1e-6
-
-
-def test_json_round_trip(tmp_path, phi0):
-    path = tmp_path / "phi.json"
-    path.write_text(json.dumps(grid_potential_to_dict(phi0)))
-    back = load_grid_potential(path)
-    assert np.allclose(back.values, phi0.values, atol=1e-12)
-    assert back.domain.grid.nx == 8
-    assert back.domain.vol == 1.0
 
 
 def test_basepoint_mismatch(grid8, phi0, rng):

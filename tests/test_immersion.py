@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from calabi import (
-    SpherePoint,
+    ConformalFactor,
     TangentVector,
     chordal_vs_geodesic,
     distance,
@@ -19,7 +19,6 @@ from calabi import (
     random_point,
     random_tangent,
     sphere_transport_oracle,
-    to_conformal,
 )
 from calabi.verify import immersion_isometry_error, random_admissible_tangent
 
@@ -28,22 +27,25 @@ CHORD_PI_12 = 0.26105238444010315  # 2 sin(pi/24), frozen
 
 def test_flat_point_maps_to_constant_two(u0_d2, d2):
     f = immerse(u0_d2)
-    assert np.array_equal(f.values, [2.0, 2.0])
-    assert f.radius == 1.0
-    assert integrate(d2, f.values**2) == 1.0
+    assert np.array_equal(f, [2.0, 2.0])
+    assert integrate(d2, f**2) == 1.0
 
 
-def test_immersion_round_trip(rng, d16):
-    u = random_point(d16, rng)
-    back = to_conformal(immerse(u))
-    assert np.allclose(back.values, u.values, atol=1e-14)
-
-
-def test_sphere_point_validation(d2):
-    with pytest.raises(ValueError, match="positive"):
-        SpherePoint(d2, np.array([2.0, -2.0]), 1.0)
-    with pytest.raises(ValueError, match="radius"):
-        SpherePoint(d2, np.array([1.0, 1.0]), 1.0)
+def test_sphere_oracles_accept_every_valid_point(rng, d64):
+    # mass off by 5e-11 relative: inside EPS_CONSTRAINT, so a valid point,
+    # and its image has integrate(f^2) off from rho^2 by the same amount
+    u = random_point(d64, rng)
+    u_off = ConformalFactor(d64, u.values + 5e-11)
+    f = immerse(u_off)
+    assert np.array_equal(f, 2.0 * np.exp(0.5 * u_off.values))
+    assert integrate(d64, f**2) == pytest.approx(d64.radius**2, rel=1e-10)
+    chord, arc = chordal_vs_geodesic(u_off, random_point(d64, rng))
+    assert chord == pytest.approx(2.0 * d64.radius * math.sin(arc / (2.0 * d64.radius)), rel=1e-9)
+    seg = geodesic_cauchy(u_off, random_admissible_tangent(u_off, rng, fill=0.6))
+    w = random_tangent(u_off, rng)
+    t = 0.5 * seg.t_max
+    out = sphere_transport_oracle(seg, w, t)
+    assert inner(out.basepoint, out, out) == pytest.approx(inner(u_off, w, w), rel=1e-12)
 
 
 def test_pullback_metric_is_exact(rng, d64):
@@ -83,13 +85,13 @@ def test_geodesic_image_is_a_great_circle(rng, d16):
     u0 = random_point(d16, rng, amplitude=0.4)
     v0 = random_admissible_tangent(u0, rng, fill=0.8)
     seg = geodesic_cauchy(u0, v0)
-    f0 = immerse(u0).values
+    f0 = immerse(u0)
     g0 = pushforward(u0, v0)
     nf = integrate(d16, f0 * f0)
     ng = integrate(d16, g0 * g0)
     for frac in (-0.9, -0.3, 0.45, 0.95):
         t = frac * (seg.t_max if frac > 0 else -seg.t_min)
-        f_t = immerse(evaluate(seg, t)).values
+        f_t = immerse(evaluate(seg, t))
         residual = (
             f_t
             - integrate(d16, f_t * f0) / nf * f0
@@ -135,5 +137,5 @@ def test_distance_agrees_with_ambient_angle(rng, d16):
     u1 = random_point(d16, rng, amplitude=0.6)
     f0, f1 = immerse(u0), immerse(u1)
     rho = d16.radius
-    cosang = integrate(d16, f0.values * f1.values) / rho**2
+    cosang = integrate(d16, f0 * f1) / rho**2
     assert distance(u0, u1).d == pytest.approx(rho * math.acos(cosang), abs=1e-12)

@@ -1,5 +1,7 @@
 import numpy as np
 
+import calabi.cli as cli
+import calabi.verify
 from calabi import (
     TangentVector,
     arccot,
@@ -55,3 +57,12 @@ def test_immersion_isometry_error_on_near_orthogonal_tangents(rng):
         scale = norm(u0, t1) * norm(u0, t2)
         assert abs(inner(u0, t1, t2)) <= 1e-14 * scale
         assert immersion_isometry_error(u0, t1, t2) <= 1e-13
+
+
+def test_immersion_norm_failure_is_reported(monkeypatch, capsys):
+    monkeypatch.setattr(calabi.verify, "immerse", lambda u: 1.01 * 2.0 * np.exp(0.5 * u.values))
+    report = run_report(make_normalized_domain(64))
+    assert report["passed"] is False
+    assert "immersion_norm" in report["failures"]
+    assert cli.main(["verify", "64"]) == cli.EXIT_VERIFY
+    assert "immersion_norm" in capsys.readouterr().err
