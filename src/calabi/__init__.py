@@ -56,7 +56,6 @@ from .immersion import (
     chordal_vs_geodesic,
     immerse,
     pushforward,
-    sphere_transport_oracle,
 )
 from .jacobi import (
     ConjugateScan,

@@ -5,7 +5,9 @@ The Levi-Civita covariant derivative of a section v along a curve u(t) is
     D_t v = v' + (1/2) v u' + (1/(2 vol)) <v, u'>_u,
 
 where the last term is a constant field.  The connection exists only as an
-operator along curves; there is no global chart machinery.
+operator along curves; there is no global chart machinery.  Parallel
+transport along a geodesic is the great-circle rotation of the sphere
+picture; its oracle ``_transport_ode`` integrates it by ``_rk4``.
 
 The curvature tensor is closed-form:
 
@@ -70,7 +72,7 @@ class SampledCurve:
         """Sample a geodesic; attaches its analytic velocity fields."""
         times = np.asarray(times, dtype=float)
         points = [evaluate(seg, t) for t in times]
-        vels = [seg.velocity_at(t).values for t in times]
+        vels = [seg.velocity_values(t) for t in times]
         return cls(times=times, points=points, velocities=vels)
 
     def velocity_field(self, index: int) -> np.ndarray:
@@ -149,12 +151,10 @@ def _rk4(rhs, y: np.ndarray, seg: GeodesicSegment, t: float, project=None) -> np
     return y
 
 
-def parallel_transport(seg: GeodesicSegment, v0: TangentVector, t: float) -> TangentVector:
-    """Transport ``v0`` along the geodesic to parameter ``t``.
-
-    Integrates V' = -(1/2) V u' - (1/(2 vol)) <V, u'>_u by ``_rk4`` (cost
-    grows like |t|/tau near the end of the interval), re-projecting to the
-    tangent space after every step to stop constraint drift.
+def _transport_ode(seg: GeodesicSegment, v0: TangentVector, t: float) -> TangentVector:
+    """Oracle for ``parallel_transport``: integrates V' = -(1/2) V u' -
+    (1/(2 vol)) <V, u'>_u by ``_rk4`` (cost grows like |t|/tau near the end of
+    the interval), re-projecting to the tangent space after every step.
     """
     _check_based_at(seg.start, v0, "vector")
     seg._check_time(t)
@@ -175,6 +175,24 @@ def parallel_transport(seg: GeodesicSegment, v0: TangentVector, t: float) -> Tan
 
     vec = _rk4(rhs, v0.values.copy(), seg, t, project)
     return TangentVector(evaluate(seg, t), vec)
+
+
+def parallel_transport(seg: GeodesicSegment, v0: TangentVector, t: float) -> TangentVector:
+    """Transport ``v0`` along the geodesic to parameter ``t``, in closed form.
+
+    On the sphere the geodesic turns by theta = sigma t / rho; the part of
+    e^(u0/2) v0 along the great circle turns with it, the rest stays put.
+    Divided by e^(u(t)/2) = e^(u0/2) g, with v the velocity and b = ``coeff``,
+    this is (v0 + (2 <v0, v> / (sigma rho)) ((cos theta - 1) b - sin theta)) / g:
+    exact, and finite where e^(u0/2) underflows.
+    """
+    _check_based_at(seg.start, v0, "vector")
+    seg._check_time(t)
+    if seg.speed == 0.0 or t == 0.0:
+        return TangentVector(seg.start, v0.values.copy())
+    c, s, g = seg._profile(t)
+    a = 2.0 * inner(seg.start, v0, seg.velocity) / (seg.speed * seg.domain.radius)
+    return TangentVector(evaluate(seg, t), (v0.values + a * ((c - 1.0) * seg.coeff - s)) / g)
 
 
 def curvature_tensor(

@@ -17,12 +17,13 @@ from calabi import (
     integrate,
     norm,
     parallel_transport,
+    project_to_space,
     project_to_tangent,
     random_point,
     random_tangent,
     sectional_curvature,
-    sphere_transport_oracle,
 )
+from calabi.connection import _transport_ode
 from calabi.verify import finite_difference_curvature, random_admissible_tangent
 
 
@@ -104,21 +105,25 @@ def test_transport_of_velocity_is_velocity(rng, d16):
     u0 = random_point(d16, rng, amplitude=0.4)
     v0 = random_admissible_tangent(u0, rng, fill=0.6)
     seg = geodesic_cauchy(u0, v0)
-    t = 0.7 * seg.t_max
-    out = parallel_transport(seg, v0, t)
-    assert np.allclose(out.values, seg.velocity_values(t), atol=1e-9)
+    for frac in (0.35, 0.7, 0.8, -0.5):
+        t = frac * (seg.t_max if frac > 0 else -seg.t_min)
+        out = parallel_transport(seg, v0, t)
+        assert np.allclose(out.values, seg.velocity_values(t), atol=1e-12)
 
 
 def test_transport_preserves_norm(rng, d16):
     u0 = random_point(d16, rng, amplitude=0.4)
     v0 = random_admissible_tangent(u0, rng, fill=0.6)
     seg = geodesic_cauchy(u0, v0)
-    w = random_tangent(u0, rng)
-    t = 0.6 * seg.t_max
-    out = parallel_transport(seg, w, t)
-    before = inner(u0, w, w)
-    after = inner(evaluate(seg, t), out, out)
-    assert after == pytest.approx(before, abs=1e-8)
+    w1 = random_tangent(u0, rng)
+    w2 = random_tangent(u0, rng)
+    for frac in (0.6, 0.7):
+        t = frac * seg.t_max
+        out1 = parallel_transport(seg, w1, t)
+        out2 = parallel_transport(seg, w2, t)
+        u_t = evaluate(seg, t)
+        assert inner(u_t, out1, out1) == pytest.approx(inner(u0, w1, w1), abs=1e-13)
+        assert inner(u_t, out1, out2) == pytest.approx(inner(u0, w1, w2), abs=1e-13)
 
 
 def test_transport_matches_sphere_oracle(rng, d16):
@@ -129,8 +134,21 @@ def test_transport_matches_sphere_oracle(rng, d16):
     for frac in (0.4, -0.5):
         t = frac * (seg.t_max if frac > 0 else -seg.t_min)
         out = parallel_transport(seg, w, t)
-        oracle = sphere_transport_oracle(seg, w, t)
+        oracle = _transport_ode(seg, w, t)
         assert float(np.max(np.abs(out.values - oracle.values))) < 1e-7
+
+
+def test_transport_stays_finite_where_the_density_underflows(rng, d16):
+    # e^(u0/2) is 0.0 at node 3 and about 1e-150 at node 7
+    raw = 0.3 * rng.standard_normal(16)
+    raw[3], raw[7] = -1600.0, -690.0
+    u0 = project_to_space(d16, raw)
+    seg = geodesic_cauchy(u0, random_admissible_tangent(u0, rng, fill=0.6))
+    w = random_tangent(u0, rng)
+    t = 0.5 * seg.t_max
+    out = parallel_transport(seg, w, t)
+    assert np.all(np.isfinite(out.values))
+    assert float(np.max(np.abs(out.values - _transport_ode(seg, w, t).values))) < 1e-7
 
 
 def test_transport_rejects_vector_from_another_domain(rng, d16):
@@ -145,7 +163,7 @@ def test_transport_rejects_vector_from_another_domain(rng, d16):
     with pytest.raises(DomainMismatchError, match="not based at"):
         parallel_transport(seg, w, t)
     with pytest.raises(DomainMismatchError, match="not based at"):
-        sphere_transport_oracle(seg, w, t)
+        _transport_ode(seg, w, t)
 
 
 def test_transport_outside_interval(rng, d16):

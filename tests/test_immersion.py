@@ -13,12 +13,11 @@ from calabi import (
     immerse,
     inner,
     integrate,
-    norm,
+    parallel_transport,
     project_to_space,
     pushforward,
     random_point,
     random_tangent,
-    sphere_transport_oracle,
 )
 from calabi.verify import immersion_isometry_error, random_admissible_tangent
 
@@ -44,7 +43,7 @@ def test_sphere_oracles_accept_every_valid_point(rng, d64):
     seg = geodesic_cauchy(u_off, random_admissible_tangent(u_off, rng, fill=0.6))
     w = random_tangent(u_off, rng)
     t = 0.5 * seg.t_max
-    out = sphere_transport_oracle(seg, w, t)
+    out = parallel_transport(seg, w, t)
     assert inner(out.basepoint, out, out) == pytest.approx(inner(u_off, w, w), rel=1e-12)
 
 
@@ -98,37 +97,6 @@ def test_geodesic_image_is_a_great_circle(rng, d16):
             - integrate(d16, f_t * g0) / ng * g0
         )
         assert math.sqrt(integrate(d16, residual**2)) <= 1e-10
-
-
-def test_sphere_transport_at_zero(rng, d16):
-    u0 = random_point(d16, rng, amplitude=0.4)
-    v0 = random_admissible_tangent(u0, rng)
-    seg = geodesic_cauchy(u0, v0)
-    w = random_tangent(u0, rng)
-    assert np.array_equal(sphere_transport_oracle(seg, w, 0.0).values, w.values)
-
-
-def test_sphere_transport_of_velocity(rng, d16):
-    u0 = random_point(d16, rng, amplitude=0.4)
-    v0 = random_admissible_tangent(u0, rng, fill=0.6)
-    seg = geodesic_cauchy(u0, v0)
-    for frac in (0.35, 0.8, -0.5):
-        t = frac * (seg.t_max if frac > 0 else -seg.t_min)
-        out = sphere_transport_oracle(seg, v0, t)
-        assert np.allclose(out.values, seg.velocity_values(t), atol=1e-12)
-
-
-def test_sphere_transport_preserves_metric_pairings(rng, d16):
-    u0 = random_point(d16, rng, amplitude=0.4)
-    v0 = random_admissible_tangent(u0, rng, fill=0.6)
-    seg = geodesic_cauchy(u0, v0)
-    w1 = random_tangent(u0, rng)
-    w2 = random_tangent(u0, rng)
-    t = 0.7 * seg.t_max
-    out1 = sphere_transport_oracle(seg, w1, t)
-    out2 = sphere_transport_oracle(seg, w2, t)
-    u_t = evaluate(seg, t)
-    assert inner(u_t, out1, out2) == pytest.approx(inner(u0, w1, w2), abs=1e-13)
 
 
 def test_distance_agrees_with_ambient_angle(rng, d16):
