@@ -99,6 +99,37 @@ def test_geodesic_image_is_a_great_circle(rng, d16):
         assert math.sqrt(integrate(d16, residual**2)) <= 1e-10
 
 
+def test_sphere_transport_at_zero(rng, d16):
+    u0 = random_point(d16, rng, amplitude=0.4)
+    v0 = random_admissible_tangent(u0, rng)
+    seg = geodesic_cauchy(u0, v0)
+    w = random_tangent(u0, rng)
+    assert np.array_equal(parallel_transport(seg, w, 0.0).values, w.values)
+
+
+def test_sphere_transport_of_velocity(rng, d16):
+    u0 = random_point(d16, rng, amplitude=0.4)
+    v0 = random_admissible_tangent(u0, rng, fill=0.6)
+    seg = geodesic_cauchy(u0, v0)
+    for frac in (0.35, 0.8, -0.5):
+        t = frac * (seg.t_max if frac > 0 else -seg.t_min)
+        out = parallel_transport(seg, v0, t)
+        assert np.allclose(out.values, seg.velocity_values(t), atol=1e-12)
+
+
+def test_sphere_transport_preserves_metric_pairings(rng, d16):
+    u0 = random_point(d16, rng, amplitude=0.4)
+    v0 = random_admissible_tangent(u0, rng, fill=0.6)
+    seg = geodesic_cauchy(u0, v0)
+    w1 = random_tangent(u0, rng)
+    w2 = random_tangent(u0, rng)
+    t = 0.7 * seg.t_max
+    out1 = parallel_transport(seg, w1, t)
+    out2 = parallel_transport(seg, w2, t)
+    u_t = evaluate(seg, t)
+    assert inner(u_t, out1, out2) == pytest.approx(inner(u0, w1, w2), abs=1e-13)
+
+
 def test_distance_agrees_with_ambient_angle(rng, d16):
     # the arc distance is rho times the ambient angle between the images
     u0 = random_point(d16, rng, amplitude=0.6)
