@@ -52,11 +52,7 @@ from .gradient_metric import (
     normalization_value,
     project_to_grid_tangent,
 )
-from .immersion import (
-    chordal_vs_geodesic,
-    immerse,
-    pushforward,
-)
+from .immersion import immerse, pushforward
 from .jacobi import (
     ConjugateScan,
     JacobiClosedForm,

@@ -26,7 +26,7 @@ class ExpDomainError(GeometryError):
 
 
 class DegenerateEndpointsError(GeometryError):
-    """Two-point boundary problem called with coincident endpoints."""
+    """Two-point boundary problem called with equal endpoints."""
 
 
 class ConvergenceError(GeometryError):

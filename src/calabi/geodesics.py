@@ -16,12 +16,14 @@ with arccot valued in (0, pi).  On a normalized domain (vol = 1/4, rho = 1)
 these reduce verbatim to the unit-curvature formulas; the implementation is
 arranged so that the reduction is bit-exact.
 
-The two-point problem is solved without iteration: the quantity
+The two-point problem is solved without iteration: the half-chord
 
-    cosine = integrate(e^((u0+u1)/2)) / vol
+    m = |h1 - h0| = sqrt(integrate(4 e^((u0+u1)/2) sinh^2((u1-u0)/4)))
 
-lies in (0, 1] and the connecting geodesic reaches u1 at parameter
-t0 = arccos(cosine); the distance is rho * t0.
+of the half-densities h = e^(u/2) gives the parameter t0 = 2 arcsin(m / rho)
+at which the connecting geodesic reaches u1, and the distance rho * t0.  No
+step subtracts nearly equal numbers, so t0 is exactly 0 for equal fields and
+accurate to rounding down to m near 1e-150, where m^2 underflows.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .space import (
     _check_based_at,
     norm,
     project_to_space,
-    zero_tangent,
+    project_to_tangent,
 )
 
 __all__ = [
@@ -56,10 +58,6 @@ __all__ = [
     "diameter_sequence",
     "boundary_sequence",
 ]
-
-# Two points whose cosine exceeds this are treated as coincident.
-COINCIDENCE_TOL = 1e-14
-
 
 def arccot(x: float) -> float:
     """Inverse cotangent valued in (0, pi)."""
@@ -171,36 +169,40 @@ def exp_map(u0: ConformalFactor, v0: TangentVector) -> ConformalFactor:
     return evaluate(seg, 1.0)
 
 
-def _sphere_angles(cosine: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Angles arccos(cosine) and the mask of coincident pairs, whose cosine is
-    within COINCIDENCE_TOL of 1; their angle is set to exactly 0."""
-    coincident = cosine >= 1.0 - COINCIDENCE_TOL
-    theta = np.arccos(np.clip(cosine, -1.0, 1.0))
-    theta[coincident] = 0.0
-    return theta, coincident
+# The chord kernel takes a stack in blocks of about this many node values so
+# that its temporaries stay in cache.
+_BLOCK_VALUES = 1 << 16
 
 
 def _half_density_log(u: ConformalFactor, fields: np.ndarray):
-    """Cosines, angles, coincidence mask and log directions of the rows of a
-    (k, N) stack of fields seen from ``u``.
-
-    Row i has cos_i = integrate(e^((u_i+u)/2)) / vol, theta_i = arccos(cos_i)
-    and the direction e^((u_i-u)/2) - cos_i; the log map is the direction
-    times 2 theta_i / sin(theta_i).  Both exponentials act on sums and
-    differences of fields, so a node where e^u and every e^(u_i) underflow
-    still gives finite values.
+    """Angles theta_i = 2 arcsin(m_i / rho), 1 - cos(theta_i) = 2 (m_i / rho)^2
+    and log directions expm1((u_i - u)/2) + 1 - cos(theta_i), which is
+    h_i/h - cos(theta_i), of the rows u_i of a (k, N) stack seen from ``u``;
+    the log map is the direction times 2 theta_i / sin(theta_i).  The
+    half-chord m_i = |h_i - h| is summed from e^((u_i+u)/4) sinh(|u_i-u|/4):
+    finite where e^u or e^(u_i) underflows, and the same bits for (u_i, u).
     """
     dom = u.domain
-    directions = np.add(fields, u.values)
-    directions *= 0.5
-    np.exp(directions, out=directions)
-    cosine = integrate(dom, directions) / dom.vol
-    theta, coincident = _sphere_angles(cosine)
-    np.subtract(fields, u.values, out=directions)
-    directions *= 0.5
-    np.exp(directions, out=directions)
-    directions -= cosine[:, None]
-    return cosine, theta, coincident, directions
+    quarter = 0.25 * u.values
+    directions = np.empty_like(fields)
+    chord_squares = np.empty(len(fields))
+    rows = max(1, _BLOCK_VALUES // fields.shape[1])
+    for i in range(0, len(fields), rows):
+        gap = np.multiply(fields[i : i + rows], 0.25, out=directions[i : i + rows])
+        chord = np.add(gap, quarter)
+        np.exp(chord, out=chord)
+        gap -= quarter
+        sine = np.abs(gap)
+        np.sinh(sine, out=sine)
+        chord *= sine
+        chord *= chord
+        chord_squares[i : i + rows] = integrate(dom, chord)
+        gap *= 2.0
+        np.expm1(gap, out=gap)
+    ratio = (2.0 / dom.radius) * np.sqrt(chord_squares)
+    one_minus_cos = 2.0 * ratio * ratio
+    directions += one_minus_cos[:, None]
+    return 2.0 * np.arcsin(ratio), one_minus_cos, directions
 
 
 def _pair_log(u0: ConformalFactor, u1: ConformalFactor):
@@ -208,20 +210,18 @@ def _pair_log(u0: ConformalFactor, u1: ConformalFactor):
     direction field."""
     if u1.domain is not u0.domain:
         raise DomainMismatchError("points live on different domains")
-    cosine, theta, coincident, directions = _half_density_log(u0, u1.values[None, :])
-    return float(cosine[0]), float(theta[0]), bool(coincident[0]), directions[0]
+    theta, one_minus_cos, directions = _half_density_log(u0, u1.values[None, :])
+    return float(theta[0]), float(one_minus_cos[0]), directions[0]
 
 
 def log_map(u0: ConformalFactor, w: ConformalFactor) -> TangentVector:
     """Inverse of the exponential map: the v with exp_map(u0, v) = w.
 
-    Coincident points (cosine within 1e-14 of 1) return the zero vector.
-    The norm of the result is the distance between the points.
+    The norm of the result is the distance between the points; equal points
+    give exactly the zero vector.
     """
-    _, theta0, coincident, direction = _pair_log(u0, w)
-    if coincident:
-        return zero_tangent(u0)
-    return TangentVector(u0, direction * (2.0 * theta0 / np.sin(theta0)))
+    theta, _, direction = _pair_log(u0, w)
+    return TangentVector(u0, direction * (2.0 / np.sinc(theta / np.pi)))
 
 
 def geodesic_dirichlet(
@@ -231,20 +231,24 @@ def geodesic_dirichlet(
     arrives.
 
     The segment is parametrized by sphere angle (speed rho), so t0 =
-    arccos(cosine) lies in (0, pi/2) and the distance equals rho * t0.  The
-    initial velocity is (2/sin t0)(e^((u1-u0)/2) - cosine).
+    2 arcsin(m / rho) lies in (0, pi/2) and the distance equals rho * t0.
+    The initial velocity is (2/sin t0)(e^((u1-u0)/2) - cos t0), projected to
+    the tangent space: the rounding in the endpoints' masses leaves the
+    direction off it by about 1e-17, which 2/sin t0 magnifies for close
+    endpoints.  Raises DegenerateEndpointsError exactly when t0 is 0.
     """
-    _, t0, coincident, direction = _pair_log(u0, u1)
-    if coincident:
+    t0, _, direction = _pair_log(u0, u1)
+    if t0 == 0.0:
         raise DegenerateEndpointsError("endpoints coincide; no connecting segment")
-    v0 = TangentVector(u0, (2.0 / np.sin(t0)) * direction)
+    v0 = project_to_tangent(u0, (2.0 / np.sin(t0)) * direction)
     return geodesic_cauchy(u0, v0), t0
 
 
 @dataclass(frozen=True)
 class DistanceReport:
-    """Distance d = rho * arccos(cosine), the arrival parameter t0 of the
-    connecting segment, and the raw cosine in (0, 1]."""
+    """Distance d = rho * t0, the arrival parameter t0 = 2 arcsin(m / rho) of
+    the connecting segment, and cosine = cos(t0) = 1 - 2 (m / rho)^2 in
+    (0, 1], with m the half-chord of the module docstring."""
 
     d: float
     t0: float
@@ -252,9 +256,10 @@ class DistanceReport:
 
 
 def distance(u0: ConformalFactor, u1: ConformalFactor) -> DistanceReport:
-    """Geodesic distance between two points; zero iff they coincide."""
-    cosine, t0, _, _ = _pair_log(u0, u1)
-    return DistanceReport(d=u0.domain.radius * t0, t0=t0, cosine=cosine)
+    """Geodesic distance between two points; zero iff they coincide, and the
+    same bits in either order."""
+    t0, one_minus_cos, _ = _pair_log(u0, u1)
+    return DistanceReport(d=u0.domain.radius * t0, t0=t0, cosine=1.0 - one_minus_cos)
 
 
 def path_length(points: list[ConformalFactor], times) -> float:

@@ -6,9 +6,10 @@ supremum (pi/2) rho, with step halving whenever a full step would leave the
 domain of the exponential map or fail to shrink the residual.
 
 Both work on the fields stacked as a (k, N) array.  In the sphere picture
-every two-point quantity is an inner product of the half-densities
+every two-point quantity is an angle between the half-densities
 h_i = e^(u_i/2), so all pairwise cosines come from one weighted Gram matrix
-and all log maps at a point from one array expression.
+and all log maps at a point from one call of the chord kernel
+``geodesics._half_density_log``.
 
 The mean puts its inputs in an order fixed by their bits before summing
 over them, so its result is bitwise invariant under permutation of the
@@ -27,14 +28,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainMismatchError, ExpDomainError
-# ``distance`` is unused here but stays bound as ``stats.distance``, the
-# name through which perfbench's tracer tests reach a rebound import.
-from .geodesics import _half_density_log, _sphere_angles, distance, exp_map  # noqa: F401
+from .geodesics import _half_density_log, distance, exp_map
 from .space import ConformalFactor, TangentVector, norm, project_to_space
 
 __all__ = ["DensitySet", "karcher_mean", "distance_matrix"]
 
 UNIQUENESS_MARGIN = 1e-3
+
+# Pairs whose Gram cosine is above this take their distance from the chord
+# kernel; below it, arccos of the Gram cosine is within about 1e-14 rad.
+_GRAM_CUT = 1.0 - 1e-2
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,16 +81,22 @@ def _half_densities(dset: DensitySet) -> np.ndarray:
 
 
 def _pair_distances(dset: DensitySet, half: np.ndarray):
-    """Distances rho * arccos(cosine) of all pairs i < j, in loop order.
+    """Distances of all pairs i < j, in loop order.
 
     Returns the pair indices (as ``np.triu_indices``) and the distances.  The
-    cosines come from one weighted Gram matrix of the half-densities; pairs
-    that ``geodesics.distance`` treats as coincident get distance zero.
+    cosines come from one weighted Gram matrix of the half-densities, and a
+    pair's distance is rho * arccos(cosine).  arccos loses accuracy as the
+    cosine nears 1, so the pairs above ``_GRAM_CUT`` take
+    ``geodesics.distance`` instead.
     """
     dom = dset.domain
     pairs = np.triu_indices(len(dset), 1)
     cosine = np.einsum("ik,jk->ij", half * dom.weights, half)[pairs] / dom.vol
-    return pairs, dom.radius * _sphere_angles(cosine)[0]
+    near = cosine > _GRAM_CUT
+    d = dom.radius * np.arccos(np.where(near, 0.0, cosine))
+    for k in np.flatnonzero(near):
+        d[k] = distance(dset.points[pairs[0][k]], dset.points[pairs[1][k]]).d
+    return pairs, d
 
 
 def _canonical_rows(dset: DensitySet) -> tuple[np.ndarray, np.ndarray]:
@@ -106,13 +115,11 @@ def _canonical_rows(dset: DensitySet) -> tuple[np.ndarray, np.ndarray]:
 def _weighted_mean_tangent(
     u: ConformalFactor, fields: np.ndarray, weights: np.ndarray
 ) -> TangentVector:
-    """sum_i w_i log_u(u_i) for every row of ``fields`` at once; coincident
-    rows contribute zero."""
-    _, theta, coincident, logs = _half_density_log(u, fields)
-    coeff = np.divide(
-        2.0 * weights * theta, np.sin(theta), out=np.zeros_like(theta), where=~coincident
-    )
-    return TangentVector(u, np.einsum("i,ij->j", coeff, logs))
+    """sum_i w_i log_u(u_i) for every row of ``fields`` at once; a row equal
+    to u contributes exactly zero."""
+    theta, _, directions = _half_density_log(u, fields)
+    coeff = 2.0 * weights / np.sinc(theta / np.pi)
+    return TangentVector(u, np.einsum("i,ij->j", coeff, directions))
 
 
 def karcher_mean(

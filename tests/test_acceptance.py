@@ -394,13 +394,22 @@ def test_criterion_10_normalization_bridge():
         s = ref_speed(u0v, v0v)
         return np.arctan2(1.0, -v0v.min() / (2.0 * s))
 
+    def ref_chord_ratio(u0v, u1v):
+        # |h1 - h0| / rho with h = e^(u/2), from the half-chord at each node
+        half = np.exp(0.25 * (u0v + u1v)) * np.sinh(np.abs(0.25 * (u1v - u0v)))
+        return 2.0 * math.sqrt(float(np.einsum("j,j->", half * half, wts)))
+
+    def ref_angle(u0v, u1v):
+        return 2.0 * float(np.arcsin(ref_chord_ratio(u0v, u1v)))
+
     def ref_cosine(u0v, u1v):
-        return 4.0 * float(np.einsum("j,j->", np.exp(0.5 * (u0v + u1v)), wts))
+        r = ref_chord_ratio(u0v, u1v)
+        return 1.0 - 2.0 * r * r
 
     def ref_log(u0v, u1v):
-        c = ref_cosine(u0v, u1v)
-        th = np.arccos(c)
-        return (np.exp(0.5 * (u1v - u0v)) - c) * (2.0 * th / np.sin(th))
+        r = ref_chord_ratio(u0v, u1v)
+        th = 2.0 * np.arcsin(r)
+        return (np.expm1(0.5 * (u1v - u0v)) + 2.0 * r * r) * (2.0 / np.sinc(th / np.pi))
 
     all_equal = True
     for _ in range(100):
@@ -423,9 +432,9 @@ def test_criterion_10_normalization_bridge():
         u1 = random_point(dom, rng, amplitude=0.5)
         rep = distance(u0, u1)
         all_equal &= rep.cosine == ref_cosine(u0.values, u1.values)
-        all_equal &= rep.d == float(np.arccos(ref_cosine(u0.values, u1.values)))
+        all_equal &= rep.d == ref_angle(u0.values, u1.values)
         _, t0 = geodesic_dirichlet(u0, u1)
-        all_equal &= t0 == float(np.arccos(ref_cosine(u0.values, u1.values)))
+        all_equal &= t0 == ref_angle(u0.values, u1.values)
         try:
             from calabi import ExpDomainError
 

@@ -26,6 +26,7 @@ from calabi import (
     zero_tangent,
 )
 from calabi.verify import random_admissible_tangent
+from chord_reference import reference_distance
 
 # time-1 point of the D2 geodesic from (0,0) with v0=(1,-1), frozen from the
 # profile oracle 2*log(cos(1/2) +- sin(1/2)); the mass constraint is exact
@@ -224,7 +225,7 @@ def test_distance_axioms(rng, d16):
     for _ in range(100):
         i, j, k = rng.integers(0, 8, size=3)
         dij = distance(pts[i], pts[j]).d
-        assert dij == distance(pts[j], pts[i]).d  # cosine is symmetric bitwise
+        assert dij == distance(pts[j], pts[i]).d  # the chord is symmetric bitwise
         assert dij < 0.5 * math.pi * d16.radius
         slack = dij + distance(pts[j], pts[k]).d - distance(pts[i], pts[k]).d
         assert slack >= -1e-12
@@ -302,3 +303,94 @@ def test_boundary_geodesic_is_nearly_degenerate_at_exit(d64):
 def test_boundary_sequence_needs_nodes(u0_d2):
     with pytest.raises(ValueError, match="16 nodes"):
         boundary_sequence(u0_d2, 3)
+
+
+# Near pairs, against the scalar fsum chord of ``chord_reference``.
+
+
+def near_setup(d16):
+    """A random point a on 16 nodes and eps -> project(a + eps n) for a
+    random direction n."""
+    rng = np.random.default_rng(0)
+    a = random_point(d16, rng)
+    n = rng.standard_normal(16)
+    return a, lambda eps: project_to_space(d16, a.values + eps * n)
+
+
+@pytest.mark.parametrize("eps", [10.0**-k for k in range(3, 14)])
+def test_distance_matches_the_fsum_chord_at_every_separation(d16, eps):
+    a, near = near_setup(d16)
+    b = near(eps)
+    d = distance(a, b).d
+    assert d > 0.0
+    assert abs(d - reference_distance(a, b)) <= 1e-14 * reference_distance(a, b)
+    assert distance(b, a).d == d
+
+
+def test_near_pair_distance_and_round_trip(d16):
+    a, near = near_setup(d16)
+    b = near(2e-7)
+    d = distance(a, b).d
+    ref = reference_distance(a, b)
+    assert d > 0.0 and abs(d - ref) <= 1e-14 * ref
+    back = exp_map(a, log_map(a, b))
+    assert float(np.max(np.abs(back.values - b.values))) <= 1e-9
+    assert norm(a, log_map(a, b)) == pytest.approx(d, rel=1e-13)
+
+
+def test_triangle_inequality_for_near_points(d16):
+    a, near = near_setup(d16)
+    b, c = near(2e-7), near(4e-7)
+    for p, q in ((a, b), (b, c), (a, c)):
+        ref = reference_distance(p, q)
+        assert abs(distance(p, q).d - ref) <= 1e-14 * ref
+    assert distance(a, c).d <= distance(a, b).d + distance(b, c).d + 1e-12
+    assert distance(a, b).d <= distance(a, c).d + distance(c, b).d + 1e-12
+
+
+def test_log_map_is_zero_only_at_the_point(d16):
+    a, near = near_setup(d16)
+    assert np.array_equal(log_map(a, a).values, np.zeros(16))
+    assert distance(a, a).d == 0.0
+    b = near(1e-10)
+    v = log_map(a, b)
+    assert norm(a, v) == pytest.approx(reference_distance(a, b), rel=1e-13)
+
+
+def test_dirichlet_splits_at_exactly_equal_endpoints(d16):
+    a, near = near_setup(d16)
+    with pytest.raises(DegenerateEndpointsError):
+        geodesic_dirichlet(a, a)
+    b = near(1e-10)
+    seg, t0 = geodesic_dirichlet(a, b)
+    assert t0 == distance(a, b).t0 > 0.0
+    assert seg.speed == pytest.approx(d16.radius, rel=1e-12)
+    assert float(np.max(np.abs(evaluate(seg, t0).values - b.values))) <= 1e-12
+
+
+def test_distance_agrees_with_the_gram_cosine_at_large_separations(rng, d16):
+    # at O(1) separations arccos of the Gram cosine integrate(h0 h1) / vol
+    # is accurate to rounding, and the chord form must agree with it
+    for _ in range(20):
+        u0 = random_point(d16, rng, amplitude=0.8)
+        u1 = random_point(d16, rng, amplitude=0.8)
+        cosine = integrate(d16, u0.half_density() * u1.half_density()) / d16.vol
+        assert distance(u0, u1).d == pytest.approx(
+            d16.radius * math.acos(cosine), abs=1e-14
+        )
+
+
+def test_distance_is_finite_where_a_density_underflows(rng, d16):
+    # e^(u0/2) is 0.0 at node 3; the chord there is e^((u0+u1)/4) sinh(|u1-u0|/4)
+    raw = 0.3 * rng.standard_normal(16)
+    raw[3] = -1600.0
+    u0 = project_to_space(d16, raw)
+    u1 = random_point(d16, rng, amplitude=0.3)
+    # the log direction from u0, which distance does not use, is
+    # expm1((u1 - u0)/2) = inf at node 3
+    with np.errstate(over="ignore"):
+        d = distance(u0, u1).d
+    assert d == distance(u1, u0).d
+    cosine = integrate(d16, u0.half_density() * u1.half_density()) / d16.vol
+    assert d == pytest.approx(d16.radius * math.acos(cosine), abs=1e-14)
+    assert np.all(np.isfinite(log_map(u1, u0).values))

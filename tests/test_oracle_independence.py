@@ -149,3 +149,16 @@ def test_graph_follows_imports_class_calls_attribute_calls_and_nesting():
 def test_oracle_does_not_reach_the_closed_form_it_checks(package_graph, oracle):
     assert ORACLES[oracle] <= set(package_graph), "a closed form of this row no longer exists"
     assert reachable(package_graph, oracle) & ORACLES[oracle] == set()
+
+
+def test_the_chord_reference_imports_only_math():
+    # the reference that scores ``distance`` in the tests lives outside the
+    # package, so it cannot reach the chord kernel through any call
+    tree = ast.parse((Path(__file__).parent / "chord_reference.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module or ".")
+    assert imported == {"math"}

@@ -2,9 +2,10 @@
 example-based tests, and for parallel transport along drawn geodesics.
 
 Points are drawn as generic random fields: hypothesis picks the node count,
-the quadrature weights, the amplitude and the seed.  Pairs closer than about
-1e-6 are not targeted; there ``arccos`` of the cosine loses accuracy and
-``distance`` and ``log_map`` return exactly zero below about 1e-7.
+the quadrature weights, the amplitude and the seed.  Besides generic pairs,
+the two-point properties cover pairs 1e-9 apart and points whose density is
+within 1e-12 of zero at one node, the near edge of the space; distances there
+are scored against the scalar fsum chord of ``chord_reference``.
 """
 
 import math
@@ -23,6 +24,7 @@ from calabi import (
     exp_map,
     geodesic_cauchy,
     geodesic_dirichlet,
+    immerse,
     inner,
     karcher_mean,
     log_map,
@@ -34,6 +36,7 @@ from calabi import (
     random_tangent,
 )
 from calabi.verify import random_admissible_tangent
+from chord_reference import reference_distance
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -84,6 +87,76 @@ def test_exp_of_log_returns_the_point(pts):
 def test_log_norm_equals_distance(pts):
     u0, w = pts
     assert math.isclose(norm(u0, log_map(u0, w)), distance(u0, w).d, abs_tol=1e-13)
+
+
+@PROPERTY
+@given(point_sets(1), st.integers(0, 2**32 - 1))
+def test_log_of_exp_returns_the_velocity_in_either_order(pts, seed):
+    (u0,) = pts
+    v = random_admissible_tangent(u0, np.random.default_rng(seed))
+    w = exp_map(u0, v)
+    assert float(np.max(np.abs(log_map(u0, w).values - v.values))) < 1e-9
+    back = exp_map(w, log_map(w, u0))
+    assert float(np.max(np.abs(back.values - u0.values))) < 1e-9
+    assert distance(u0, w).d == distance(w, u0).d
+    assert math.isclose(norm(u0, v), distance(u0, w).d, abs_tol=1e-13)
+
+
+@st.composite
+def near_pairs(draw):
+    """A drawn point and its projection after a step of 1e-9 along a random
+    field."""
+    (u0,) = draw(point_sets(1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    step = rng.standard_normal(u0.domain.node_count)
+    step *= 1e-9 / float(np.max(np.abs(step)))
+    return u0, project_to_space(u0.domain, u0.values + step)
+
+
+@PROPERTY
+@given(near_pairs())
+def test_a_point_1e_9_away(pair):
+    u0, w = pair
+    d = distance(u0, w).d
+    assert d > 0.0 and d == distance(w, u0).d
+    assert math.isclose(d, reference_distance(u0, w), rel_tol=1e-13)
+    assert math.isclose(norm(u0, log_map(u0, w)), d, rel_tol=1e-13)
+    back = exp_map(u0, log_map(u0, w))
+    assert float(np.max(np.abs(back.values - w.values))) < 1e-9
+
+
+@st.composite
+def edge_pairs(draw):
+    """A point whose density is within 1e-12 of zero at one drawn node, and
+    a generic point on the same domain."""
+    u0, w = draw(point_sets(2))
+    node = draw(st.integers(0, u0.domain.node_count - 1))
+    raw = u0.values.copy()
+    raw[node] = math.log(draw(st.floats(1e-14, 1e-12)))
+    edge = project_to_space(u0.domain, raw)
+    assume(float(np.exp(edge.values[node])) <= 1e-12)
+    return edge, w
+
+
+@PROPERTY
+@given(edge_pairs())
+def test_a_point_next_to_the_boundary(pair):
+    edge, w = pair
+    d = distance(edge, w).d
+    assert d == distance(w, edge).d
+    assert math.isclose(d, reference_distance(edge, w), rel_tol=1e-13)
+    v = log_map(edge, w)
+    assert math.isclose(norm(edge, v), d, rel_tol=1e-13)
+    back = exp_map(edge, v)
+    assert float(np.max(np.abs(back.values - w.values))) < 1e-9
+    # From w, the log's entry at the edge node is -2 theta cos(theta)/sin(theta)
+    # plus a term of the size of the edge's e^(u/2), about 1e-6, so rounding
+    # the log leaves that node's u known only to about 1e-16 / 1e-6.  This
+    # round trip is scored on the sphere images, which it keeps to rounding.
+    v = log_map(w, edge)
+    assert math.isclose(norm(w, v), d, rel_tol=1e-13)
+    back = exp_map(w, v)
+    assert float(np.max(np.abs(immerse(back) - immerse(edge)))) < 1e-9
 
 
 @PROPERTY

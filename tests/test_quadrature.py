@@ -75,8 +75,11 @@ def test_equal_fields_integrate_to_the_same_bits_whatever_their_layout(rng, node
 def test_distance_cosine_is_the_integral(rng, nodes):
     dom = make_normalized_domain(nodes)
     u0, u1 = random_point(dom, rng), random_point(dom, rng)
-    expected = integrate(dom, np.exp(0.5 * (u0.values + u1.values))) / dom.vol
-    assert distance(u0, u1).cosine == expected
+    # cos(t0) = 1 - 2 (m / rho)^2, with the half-chord m = |h1 - h0| summed by
+    # integrate from e^((u0+u1)/4) sinh(|u1-u0|/4) = |h1 - h0| / 2 at each node
+    half = np.exp(0.25 * (u0.values + u1.values)) * np.sinh(np.abs(0.25 * (u1.values - u0.values)))
+    ratio = (2.0 / dom.radius) * np.sqrt(integrate(dom, half * half))
+    assert distance(u0, u1).cosine == 1.0 - 2.0 * ratio * ratio
 
 
 def test_normalized_domain_weights():

@@ -168,8 +168,26 @@ def test_distance_matrix_matches_pairwise_distance(rng, d64):
             assert abs(m[i, j] - distance(a, b).d) <= 1e-14
 
 
+def test_distance_matrix_takes_near_pairs_from_distance(rng, d16):
+    # arccos of a Gram cosine near 1 loses the angle: pairs 1e-7 apart would
+    # read 0, so the matrix must give them distance's own bits
+    a = random_point(d16, rng)
+    n = rng.standard_normal(16)
+    pts = [a] + [project_to_space(d16, a.values + eps * n) for eps in (2e-7, 1e-3, 0.1)]
+    pts.append(random_point(d16, rng, amplitude=0.8))
+    m = distance_matrix(DensitySet(pts))
+    for i, p in enumerate(pts):
+        for j, q in enumerate(pts[i + 1 :], i + 1):
+            d = distance(p, q).d
+            assert d > 0.0
+            assert m[i, j] == m[j, i]
+            assert abs(m[i, j] - d) <= 1e-14
+            if d < 0.1:
+                assert m[i, j] == d
+
+
 def test_distance_matrix_triangle_inequality(rng, d16):
-    pts = [random_point(d16, rng, amplitude=0.6) for _ in range(6)]
+    pts =[random_point(d16, rng, amplitude=0.6) for _ in range(6)]
     m = distance_matrix(DensitySet(pts))
     assert np.array_equal(m, m.T)
     assert np.all(np.diag(m) == 0.0)
