@@ -18,7 +18,7 @@ arranged so that the reduction is bit-exact.
 
 The two-point problem is solved without iteration: the half-chord
 
-    m = |h1 - h0| = sqrt(integrate(4 e^((u0+u1)/2) sinh^2((u1-u0)/4)))
+    m = |h1 - h0| = sqrt(integrate(e^max(u0, u1) expm1(-|u1 - u0|/2)^2))
 
 of the half-densities h = e^(u/2) gives the parameter t0 = 2 arcsin(m / rho)
 at which the connecting geodesic reaches u1, and the distance rho * t0.  No
@@ -169,38 +169,29 @@ def exp_map(u0: ConformalFactor, v0: TangentVector) -> ConformalFactor:
     return evaluate(seg, 1.0)
 
 
-# The chord kernel takes a stack in blocks of about this many node values so
-# that its temporaries stay in cache.
-_BLOCK_VALUES = 1 << 16
-
-
 def _half_density_log(u: ConformalFactor, fields: np.ndarray):
     """Angles theta_i = 2 arcsin(m_i / rho), 1 - cos(theta_i) = 2 (m_i / rho)^2
     and log directions expm1((u_i - u)/2) + 1 - cos(theta_i), which is
     h_i/h - cos(theta_i), of the rows u_i of a (k, N) stack seen from ``u``;
     the log map is the direction times 2 theta_i / sin(theta_i).  The
-    half-chord m_i = |h_i - h| is summed from e^((u_i+u)/4) sinh(|u_i-u|/4):
-    finite where e^u or e^(u_i) underflows, and the same bits for (u_i, u).
+    half-chord m_i = |h_i - h| is summed from e^max(u_i, u) expm1(-|u_i - u|/2)^2
+    at each node: it neither overflows nor cancels, and it gives the same bits
+    for (u_i, u).
     """
     dom = u.domain
-    quarter = 0.25 * u.values
-    directions = np.empty_like(fields)
-    chord_squares = np.empty(len(fields))
-    rows = max(1, _BLOCK_VALUES // fields.shape[1])
-    for i in range(0, len(fields), rows):
-        gap = np.multiply(fields[i : i + rows], 0.25, out=directions[i : i + rows])
-        chord = np.add(gap, quarter)
-        np.exp(chord, out=chord)
-        gap -= quarter
-        sine = np.abs(gap)
-        np.sinh(sine, out=sine)
-        chord *= sine
-        chord *= chord
-        chord_squares[i : i + rows] = integrate(dom, chord)
-        gap *= 2.0
-        np.expm1(gap, out=gap)
-    ratio = (2.0 / dom.radius) * np.sqrt(chord_squares)
+    chord = np.maximum(fields, u.values)
+    np.exp(chord, out=chord)
+    gap = np.subtract(fields, u.values)
+    np.abs(gap, out=gap)
+    gap *= -0.5
+    np.expm1(gap, out=gap)
+    gap *= gap
+    chord *= gap
+    ratio = np.sqrt(integrate(dom, chord)) / dom.radius
     one_minus_cos = 2.0 * ratio * ratio
+    directions = np.subtract(fields, u.values, out=gap)
+    directions *= 0.5
+    np.expm1(directions, out=directions)
     directions += one_minus_cos[:, None]
     return 2.0 * np.arcsin(ratio), one_minus_cos, directions
 

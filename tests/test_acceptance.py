@@ -396,8 +396,8 @@ def test_criterion_10_normalization_bridge():
 
     def ref_chord_ratio(u0v, u1v):
         # |h1 - h0| / rho with h = e^(u/2), from the half-chord at each node
-        half = np.exp(0.25 * (u0v + u1v)) * np.sinh(np.abs(0.25 * (u1v - u0v)))
-        return 2.0 * math.sqrt(float(np.einsum("j,j->", half * half, wts)))
+        chord = np.exp(np.maximum(u1v, u0v)) * np.expm1(-0.5 * np.abs(u1v - u0v)) ** 2
+        return math.sqrt(float(np.einsum("j,j->", chord, wts)))
 
     def ref_angle(u0v, u1v):
         return 2.0 * float(np.arcsin(ref_chord_ratio(u0v, u1v)))

@@ -380,10 +380,12 @@ def test_distance_agrees_with_the_gram_cosine_at_large_separations(rng, d16):
         )
 
 
-def test_distance_is_finite_where_a_density_underflows(rng, d16):
-    # e^(u0/2) is 0.0 at node 3; the chord there is e^((u0+u1)/4) sinh(|u1-u0|/4)
+@pytest.mark.parametrize("low", [-1600.0, -3000.0])
+def test_distance_is_finite_where_a_density_underflows(rng, d16, low):
+    # e^(u0/2) is 0.0 at node 3, and at -3000 also e^((u0+u1)/4); the chord
+    # there is e^max(u0, u1) expm1(-|u1 - u0|/2)^2
     raw = 0.3 * rng.standard_normal(16)
-    raw[3] = -1600.0
+    raw[3] = low
     u0 = project_to_space(d16, raw)
     u1 = random_point(d16, rng, amplitude=0.3)
     # the log direction from u0, which distance does not use, is

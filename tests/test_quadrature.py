@@ -76,9 +76,10 @@ def test_distance_cosine_is_the_integral(rng, nodes):
     dom = make_normalized_domain(nodes)
     u0, u1 = random_point(dom, rng), random_point(dom, rng)
     # cos(t0) = 1 - 2 (m / rho)^2, with the half-chord m = |h1 - h0| summed by
-    # integrate from e^((u0+u1)/4) sinh(|u1-u0|/4) = |h1 - h0| / 2 at each node
-    half = np.exp(0.25 * (u0.values + u1.values)) * np.sinh(np.abs(0.25 * (u1.values - u0.values)))
-    ratio = (2.0 / dom.radius) * np.sqrt(integrate(dom, half * half))
+    # integrate from e^max(u0, u1) expm1(-|u1 - u0|/2)^2 = (h1 - h0)^2 at each node
+    chord = np.exp(np.maximum(u1.values, u0.values))
+    chord *= np.expm1(-0.5 * np.abs(u1.values - u0.values)) ** 2
+    ratio = np.sqrt(integrate(dom, chord)) / dom.radius
     assert distance(u0, u1).cosine == 1.0 - 2.0 * ratio * ratio
 
 

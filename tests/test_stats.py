@@ -95,6 +95,26 @@ def test_mean_converges_where_every_density_underflows_at_a_node(rng, d64):
     assert np.allclose(pair_mean.values, evaluate(seg, t0 / 2.0).values, atol=1e-10)
 
 
+def test_near_pair_apart_by_3000_at_one_node(rng, d64):
+    # q is p but for u = -3000 at node 0, where e^((u_p+u_q)/4) underflows
+    # and sinh(|u_p-u_q|/4) overflows; the Gram cosine is above the cut
+    p = random_point(d64, rng, amplitude=0.3)
+    raw = p.values.copy()
+    raw[0] = -3000.0
+    q = project_to_space(d64, raw)
+    # the log direction from q, which distance does not use, is inf at node 0
+    with np.errstate(over="ignore"):
+        m = distance_matrix(DensitySet([p, q]))
+        d = distance(p, q).d
+        assert m[0, 1] == m[1, 0] == d == distance(q, p).d
+    cosine = integrate(d64, p.half_density() * q.half_density()) / d64.vol
+    assert cosine > 0.99
+    assert d == pytest.approx(d64.radius * math.acos(cosine), abs=1e-14)
+    v = log_map(p, q)
+    assert np.all(np.isfinite(v.values))
+    assert norm(p, v) == pytest.approx(d, rel=1e-14)
+
+
 def test_mean_is_permutation_invariant_bitwise(rng, d16):
     pts = [random_point(d16, rng, amplitude=0.5) for _ in range(4)]
     mean_a = karcher_mean(DensitySet(list(pts)))
@@ -187,7 +207,7 @@ def test_distance_matrix_takes_near_pairs_from_distance(rng, d16):
 
 
 def test_distance_matrix_triangle_inequality(rng, d16):
-    pts =[random_point(d16, rng, amplitude=0.6) for _ in range(6)]
+    pts = [random_point(d16, rng, amplitude=0.6) for _ in range(6)]
     m = distance_matrix(DensitySet(pts))
     assert np.array_equal(m, m.T)
     assert np.all(np.diag(m) == 0.0)
