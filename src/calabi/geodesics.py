@@ -175,13 +175,16 @@ def _half_density_log(u: ConformalFactor, fields: np.ndarray):
     h_i/h - cos(theta_i), of the rows u_i of a (k, N) stack seen from ``u``;
     the log map is the direction times 2 theta_i / sin(theta_i).  The
     half-chord m_i = |h_i - h| is summed from e^max(u_i, u) expm1(-|u_i - u|/2)^2
-    at each node: it neither overflows nor cancels, and it gives the same bits
+    at each node: for points of the space it neither overflows nor cancels,
+    however far apart u_i and u are at a node, and it gives the same bits
     for (u_i, u).
     """
     dom = u.domain
+    # gap becomes the returned directions; allocated before the temporary
+    # chord, it does not keep chord's memory from going back to the system
+    gap = np.subtract(fields, u.values)
     chord = np.maximum(fields, u.values)
     np.exp(chord, out=chord)
-    gap = np.subtract(fields, u.values)
     np.abs(gap, out=gap)
     gap *= -0.5
     np.expm1(gap, out=gap)

@@ -382,8 +382,8 @@ def test_distance_agrees_with_the_gram_cosine_at_large_separations(rng, d16):
 
 @pytest.mark.parametrize("low", [-1600.0, -3000.0])
 def test_distance_is_finite_where_a_density_underflows(rng, d16, low):
-    # e^(u0/2) is 0.0 at node 3, and at -3000 also e^((u0+u1)/4); the chord
-    # there is e^max(u0, u1) expm1(-|u1 - u0|/2)^2
+    # e^(u0/2) is 0.0 at node 3; at -3000 e^((u0+u1)/4) is 0.0 there too and
+    # e^(|u1-u0|/4) overflows, so the chord must not be built from those
     raw = 0.3 * rng.standard_normal(16)
     raw[3] = low
     u0 = project_to_space(d16, raw)

@@ -96,8 +96,8 @@ def test_mean_converges_where_every_density_underflows_at_a_node(rng, d64):
 
 
 def test_near_pair_apart_by_3000_at_one_node(rng, d64):
-    # q is p but for u = -3000 at node 0, where e^((u_p+u_q)/4) underflows
-    # and sinh(|u_p-u_q|/4) overflows; the Gram cosine is above the cut
+    # q is p but for u = -3000 at node 0, where e^((u_p+u_q)/4) is 0.0 and
+    # e^(|u_p-u_q|/4) overflows; the Gram cosine is above the cut
     p = random_point(d64, rng, amplitude=0.3)
     raw = p.values.copy()
     raw[0] = -3000.0
