@@ -224,17 +224,19 @@ def geodesic_dirichlet(
     """Geodesic segment from ``u0`` to ``u1`` and the parameter t0 at which it
     arrives.
 
-    The segment is parametrized by sphere angle (speed rho), so t0 =
-    2 arcsin(m / rho) lies in (0, pi/2) and the distance equals rho * t0.
-    The initial velocity is (2/sin t0)(e^((u1-u0)/2) - cos t0), projected to
-    the tangent space: the rounding in the endpoints' masses leaves the
-    direction off it by about 1e-17, which 2/sin t0 magnifies for close
-    endpoints.  Raises DegenerateEndpointsError exactly when t0 is 0.
+    The segment is parametrized by sphere angle, so t0 = 2 arcsin(m / rho)
+    lies in (0, pi/2) and the distance equals rho * t0.  The initial velocity
+    is (2/sin t0)(e^((u1-u0)/2) - cos t0), projected to the tangent space and
+    then scaled to norm rho, so the speed is rho by construction whatever
+    rounding the endpoints' masses carry; the 2/sin t0 factor comes first so
+    that close endpoints do not underflow.  Raises DegenerateEndpointsError
+    exactly when t0 is 0.
     """
     t0, _, direction = _pair_log(u0, u1)
     if t0 == 0.0:
         raise DegenerateEndpointsError("endpoints coincide; no connecting segment")
     v0 = project_to_tangent(u0, (2.0 / np.sin(t0)) * direction)
+    v0 = TangentVector(u0, v0.values * (u0.domain.radius / norm(u0, v0)))
     return geodesic_cauchy(u0, v0), t0
 
 

@@ -29,10 +29,6 @@ __all__ = [
 # Relative slack allowed between the recorded volume and the exact sum of weights.
 VOL_TOL = 1e-12
 
-# Longest row for which one einsum over a C-contiguous (k, N) stack rounds
-# every row exactly as einsum does on that row alone.
-_STACK_EINSUM_NODES = 8192
-
 
 @dataclass(frozen=True, eq=False)
 class GridShape:
@@ -117,20 +113,15 @@ def integrate(domain: QuadratureDomain, field) -> float | np.ndarray:
     value of ``integrate(domain, field[i])``.
 
     Every integral of a field in the package goes through here (the Gram
-    matrix of two stacks in ``stats`` is the one other weighted sum over
-    nodes).  It sums with ``np.einsum`` on the calling thread, never with
+    matrix in ``stats`` is the one other weighted sum over nodes).  A stack is
+    summed one row at a time, so its rows get the bits of the single field by
+    construction, whatever the stack's height, row length or memory layout.
+    A non-contiguous field, such as a row of a Fortran-ordered stack, is
+    summed from a C-contiguous copy, because einsum sums strided data in
+    another order.  The sum is ``np.einsum`` on the calling thread, never
     numpy's ``dot`` or ``@``: those hand a 65536-node sum to the OpenBLAS
     thread pool, which keeps spinning after it; on a 2-CPU host with
-    OpenBLAS 0.3.31 one such sum took 440 us, against 39 us here.  A
-    C-contiguous stack of rows of at most 8192 nodes is summed by one
-    einsum, which rounds each row exactly as on its own (checked with numpy
-    2.4 for every row length up to 8192).  Any other stack is summed row by
-    row: einsum blocks a row of more than 8192 nodes differently inside a
-    stack than on its own, which changes the last bits.  einsum also sums a
-    strided field in another order than a contiguous one, so a
-    non-contiguous field, such as a row of a Fortran-ordered stack, is
-    summed from a C-contiguous copy: equal fields integrate to the same bits
-    whatever their memory layout.  A contiguous field is summed in place.
+    OpenBLAS 0.3.31 one such sum took 440 us, against 39 us here.
     """
     f = np.asarray(field, dtype=float)
     if f.ndim not in (1, 2) or f.shape[-1] != domain.node_count:
@@ -140,8 +131,6 @@ def integrate(domain: QuadratureDomain, field) -> float | np.ndarray:
         )
     if f.ndim == 1:
         return float(np.einsum("j,j->", np.ascontiguousarray(f), domain.weights))
-    if f.flags.c_contiguous and f.shape[1] <= _STACK_EINSUM_NODES:
-        return np.einsum("ij,j->i", f, domain.weights)
     return np.array([integrate(domain, row) for row in f])
 
 

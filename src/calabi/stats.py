@@ -7,9 +7,10 @@ domain of the exponential map or fail to shrink the residual.
 
 Both work on the fields stacked as a (k, N) array.  In the sphere picture
 every two-point quantity is an angle between the half-densities
-h_i = e^(u_i/2), so all pairwise cosines come from one weighted Gram matrix
-and all log maps at a point from one call of the chord kernel
-``geodesics._half_density_log``.
+h_i = e^(u_i/2) of ``ConformalFactor.half_density``, so all pairwise cosines
+come from one weighted Gram matrix and all log maps at a point from one call
+of the chord kernel ``geodesics._half_density_log``, whose chord integrals
+``quadrature.integrate`` sums row by row.
 
 The mean puts its inputs in an order fixed by their bits before summing
 over them, so its result is bitwise invariant under permutation of the
@@ -73,24 +74,18 @@ class DensitySet:
         return len(self.points)
 
 
-def _half_densities(dset: DensitySet) -> np.ndarray:
-    """The (k, N) array of half-densities e^(u_i/2), one row per density."""
-    half = np.array([p.values for p in dset.points])
-    half *= 0.5
-    return np.exp(half, out=half)
-
-
-def _pair_distances(dset: DensitySet, half: np.ndarray):
+def _pair_distances(dset: DensitySet):
     """Distances of all pairs i < j, in loop order.
 
     Returns the pair indices (as ``np.triu_indices``) and the distances.  The
-    cosines come from one weighted Gram matrix of the half-densities, and a
-    pair's distance is rho * arccos(cosine).  arccos loses accuracy as the
-    cosine nears 1, so the pairs above ``_GRAM_CUT`` take
-    ``geodesics.distance`` instead.
+    cosines come from one weighted Gram matrix of the rows
+    ``ConformalFactor.half_density()``, and a pair's distance is
+    rho * arccos(cosine).  arccos loses accuracy as the cosine nears 1, so
+    the pairs above ``_GRAM_CUT`` take ``geodesics.distance`` instead.
     """
     dom = dset.domain
     pairs = np.triu_indices(len(dset), 1)
+    half = np.array([p.half_density() for p in dset.points])
     cosine = np.einsum("ik,jk->ij", half * dom.weights, half)[pairs] / dom.vol
     near = cosine > _GRAM_CUT
     d = dom.radius * np.arccos(np.where(near, 0.0, cosine))
@@ -139,7 +134,7 @@ def karcher_mean(
     if max_iter < 0:
         raise ValueError(f"max_iter must be non-negative, got {max_iter}")
     limit = 0.5 * math.pi * dset.domain.radius - UNIQUENESS_MARGIN
-    pairs, d = _pair_distances(dset, _half_densities(dset))
+    pairs, d = _pair_distances(dset)
     far = np.flatnonzero(d >= limit)
     if far.size:
         k = far[0]
@@ -189,7 +184,7 @@ def distance_matrix(dset: DensitySet) -> np.ndarray:
     Entries agree with ``geodesics.distance`` up to rounding; the matrix is
     exactly symmetric.
     """
-    pairs, d = _pair_distances(dset, _half_densities(dset))
+    pairs, d = _pair_distances(dset)
     out = np.zeros((len(dset), len(dset)))
     out[pairs] = d
     out[pairs[::-1]] = d

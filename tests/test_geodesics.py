@@ -368,6 +368,19 @@ def test_dirichlet_splits_at_exactly_equal_endpoints(d16):
     assert float(np.max(np.abs(evaluate(seg, t0).values - b.values))) <= 1e-12
 
 
+@pytest.mark.parametrize("eps", [1e-8, 1e-10, 1e-12, 1e-13])
+def test_dirichlet_speed_is_rho_for_near_endpoints(d16, eps):
+    # the endpoints' mass rounding, about 1e-17, would reach the speed
+    # through 2/sin t0 if the velocity were not scaled to norm rho
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        a = random_point(d16, rng)
+        b = project_to_space(d16, a.values + eps * rng.standard_normal(16))
+        seg, t0 = geodesic_dirichlet(a, b)
+        assert abs(seg.speed / d16.radius - 1.0) <= 4.4e-16
+        assert float(np.max(np.abs(evaluate(seg, t0).values - b.values))) <= 1e-12
+
+
 def test_distance_agrees_with_the_gram_cosine_at_large_separations(rng, d16):
     # at O(1) separations arccos of the Gram cosine integrate(h0 h1) / vol
     # is accurate to rounding, and the chord form must agree with it

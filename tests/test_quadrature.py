@@ -38,11 +38,10 @@ def test_integrate_length_mismatch(d2):
             integrate(d2, field)
 
 
-@pytest.mark.parametrize("nodes", [64, 8192, 8193, 10000])
+@pytest.mark.parametrize("nodes", [64, 8192, 8193, 10000, 65536])
 def test_integrate_stack_matches_rows(rng, nodes):
-    # Past 8192 nodes a single einsum over the stack would round its rows
-    # differently from the same fields integrated on their own; Fortran-ordered
-    # stacks are summed row by row at every size.
+    # A stack is summed one row at a time, so each row gets the bits of the
+    # field integrated on its own by construction, in either memory layout.
     weights = rng.uniform(0.5, 1.5, nodes)
     dom = QuadratureDomain(weights=weights, vol=math.fsum(weights.tolist()))
     fields = rng.standard_normal((5, nodes))
