@@ -52,7 +52,6 @@ from .gradient_metric import (
     normalization_value,
     project_to_grid_tangent,
 )
-from .immersion import immerse, pushforward
 from .jacobi import (
     ConjugateScan,
     JacobiClosedForm,
@@ -72,11 +71,13 @@ from .quadrature import (
 from .space import (
     ConformalFactor,
     TangentVector,
+    immerse,
     inner,
     load_density,
     norm,
     project_to_space,
     project_to_tangent,
+    pushforward,
     random_point,
     random_tangent,
     zero_tangent,

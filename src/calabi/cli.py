@@ -166,11 +166,12 @@ def _file_size(path: str) -> int:
 def _load_inputs(paths: list[str], domain_path: str | None, normalize: bool):
     """Load density files onto one shared domain.
 
-    The shared domain is ``domain_path`` when given, else the first file's.
-    Every file that names a domain must name one with the same weights.  A
-    domain file is read once per command, however many density files name
-    it.  This process parses, checks and converts density files one at a
-    time, so it holds one parsed document at once.
+    The shared domain is ``domain_path`` when given, and the files' own
+    domains are then neither read nor compared.  Else it is the first file's,
+    and every file that names a domain must name one with the same weights.
+    A domain file is read once per command, however many files name it.
+    This process parses, checks and converts density files one at a time,
+    so it holds one parsed document at once.
 
     When more than two files together reach ``_FORK_READ_BYTES``, a forked
     helper (``_fork_call``) parses the second half meanwhile.  Its files are
@@ -195,7 +196,7 @@ def _load_inputs(paths: list[str], domain_path: str | None, normalize: bool):
 
     def add(p: str, obj) -> None:
         nonlocal base, domain
-        own = file_domain(obj)
+        own = None if domain_path else file_domain(obj)
         if base is None:
             if own is None:
                 raise ValueError(f"{p} carries no domain; pass one with --domain")

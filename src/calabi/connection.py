@@ -25,7 +25,7 @@ import numpy as np
 from .errors import ConstraintError, DomainMismatchError
 from .geodesics import GeodesicSegment, evaluate
 from .quadrature import integrate
-from .space import ConformalFactor, TangentVector, _check_based_at, inner
+from .space import ConformalFactor, TangentVector, _check_based_at, _pairing, inner
 
 __all__ = [
     "SampledCurve",
@@ -120,7 +120,7 @@ def cov_deriv(
     v_dot = (sections[index + 1] - sections[index - 1]) / dt
     v = sections[index]
     u_dot = curve.velocity_field(index)
-    pairing = integrate(dom, v * u_dot * u.density())
+    pairing = _pairing(u, v, u_dot)
     return v_dot + 0.5 * v * u_dot + pairing / (2.0 * dom.vol)
 
 
@@ -162,11 +162,13 @@ def _transport_ode(seg: GeodesicSegment, v0: TangentVector, t: float) -> Tangent
         return TangentVector(evaluate(seg, t) if t != 0.0 else seg.start, v0.values.copy())
 
     dom = seg.domain
+    half0 = seg.start.half_density()
     density0 = seg.start.density()
 
     def rhs(s: float, vec: np.ndarray) -> np.ndarray:
         u_dot, g = seg._velocity(s)
-        pairing = integrate(dom, vec * u_dot * (density0 * g * g))
+        h = half0 * g
+        pairing = integrate(dom, (vec * h) * (u_dot * h))
         return -0.5 * vec * u_dot - pairing / (2.0 * dom.vol)
 
     def project(s: float, vec: np.ndarray) -> np.ndarray:

@@ -4,6 +4,15 @@ A point of the space is a field ``u`` with ``integrate(e^u) = vol``; a tangent
 vector at ``u`` is a field ``v`` with ``integrate(v e^u) = 0``.  The metric is
 the volume-weighted pairing ``<v, w>_u = integrate(v w e^u)``.
 
+The map u -> 2 e^(u/2) (``immerse``) sends the space into the sphere of radius
+rho = 2*sqrt(vol) inside the flat L2 space of node fields, and its
+differential v -> e^(u/2) v (``pushforward``) turns the metric into the plain
+L2 pairing.  ``inner`` sums the metric that way, ``(v h) (w h)`` with
+``h = e^(u/2)``, so a large ``v w`` where e^u underflows cannot give inf * 0.
+Geodesics map to great circles: ``geodesics.distance`` is rho times the angle
+subtended by the chord between two images, and parallel transport is the
+great-circle rotation, ``connection.parallel_transport``.
+
 Fields are stored on the log scale: geodesics reach the boundary of the space
 through ``e^u -> 0`` at single nodes, which stays representable in ``u`` long
 after ``e^u`` underflows relative precision.
@@ -27,6 +36,8 @@ __all__ = [
     "project_to_tangent",
     "inner",
     "norm",
+    "immerse",
+    "pushforward",
     "zero_tangent",
     "random_point",
     "random_tangent",
@@ -131,16 +142,34 @@ def _check_based_at(u: ConformalFactor, v: TangentVector, name: str) -> None:
         raise DomainMismatchError(f"{name} is not based at the given point")
 
 
+def _pairing(u: ConformalFactor, x: np.ndarray, y: np.ndarray) -> float:
+    """Metric pairing of two raw fields at ``u``: the L2 pairing of their
+    pushforwards, ``integrate((x h) (y h))`` with ``h = e^(u/2)``."""
+    h = u.half_density()
+    return integrate(u.domain, (x * h) * (y * h))
+
+
 def inner(u: ConformalFactor, v: TangentVector, w: TangentVector) -> float:
     """Metric pairing ``integrate(v w e^u)`` of two tangents at ``u``."""
     _check_based_at(u, v, "first tangent")
     _check_based_at(u, w, "second tangent")
-    return integrate(u.domain, v.values * w.values * u.density())
+    return _pairing(u, v.values, w.values)
 
 
 def norm(u: ConformalFactor, v: TangentVector) -> float:
     """Metric norm ``sqrt(<v, v>_u)``."""
     return float(np.sqrt(inner(u, v, v)))
+
+
+def immerse(u: ConformalFactor) -> np.ndarray:
+    """The image field 2 e^(u/2); integrate(f^2) = rho^2 holds wherever
+    integrate(e^u) = vol does."""
+    return 2.0 * u.half_density()
+
+
+def pushforward(u: ConformalFactor, v: TangentVector) -> np.ndarray:
+    """Differential of the immersion: the ambient field e^(u/2) v."""
+    return u.half_density() * v.values
 
 
 def zero_tangent(u: ConformalFactor) -> TangentVector:

@@ -3,8 +3,9 @@
 Each check compares a closed form with an oracle that does not call it: the
 curvature tensor with ``finite_difference_curvature``, ``parallel_transport``
 with the RK4 ``connection._transport_ode``, Jacobi ``method="closed"`` with
-``method="ode"``, the metric with the sphere's pulled-back pairing, and the
-grid metric's two forms with each other.  It backs the ``verify`` CLI command.
+``method="ode"``, the metric with its defining integral ``integrate(v w e^u)``,
+and the grid metric's two forms with each other.  It backs the ``verify`` CLI
+command.
 """
 
 from __future__ import annotations
@@ -38,12 +39,13 @@ from .gradient_metric import (
     make_grid_potential,
     project_to_grid_tangent,
 )
-from .immersion import immerse, pushforward
 from .jacobi import conjugate_point_scan, jacobi_solve
 from .quadrature import QuadratureDomain, integrate, make_torus_grid
 from .space import (
     ConformalFactor,
     TangentVector,
+    _pairing,
+    immerse,
     inner,
     norm,
     project_to_space,
@@ -81,16 +83,17 @@ def random_admissible_tangent(
 
 
 def immersion_isometry_error(u0: ConformalFactor, t1: TangentVector, t2: TangentVector) -> float:
-    """Gap between the pulled-back sphere product of two tangents and their
-    metric product <t1, t2>_u.
+    """Gap between the metric product <t1, t2>_u, which ``inner`` evaluates as
+    the L2 pairing of the pushforwards, and the metric's definition
+    integrate(t1 t2 e^u).
 
     The gap is relative to |t1|_u |t2|_u, the Cauchy-Schwarz bound on the
     product, not to the product itself: rounding in both integrals scales
     with the norms, so near-orthogonal tangents would otherwise inflate it.
     """
-    pulled = integrate(u0.domain, pushforward(u0, t1) * pushforward(u0, t2))
+    definition = integrate(u0.domain, t1.values * t2.values * u0.density())
     direct = inner(u0, t1, t2)
-    return abs(pulled - direct) / max(norm(u0, t1) * norm(u0, t2), 1e-300)
+    return abs(definition - direct) / max(norm(u0, t1) * norm(u0, t2), 1e-300)
 
 
 def finite_difference_curvature(
@@ -126,7 +129,7 @@ def finite_difference_curvature(
     dom = u.domain
 
     def cov(base: ConformalFactor, deriv: np.ndarray, sec: np.ndarray, vel: np.ndarray) -> np.ndarray:
-        pairing = integrate(dom, sec * vel * base.density())
+        pairing = _pairing(base, sec, vel)
         return deriv + 0.5 * sec * vel + pairing / (2.0 * dom.vol)
 
     def d_r_section(q: float) -> np.ndarray:
@@ -150,7 +153,7 @@ def finite_difference_curvature(
         vel_r(0.0, 0.0),
     )
     commutator = dq_dr - dr_dq
-    return integrate(dom, commutator * d.values * u.density())
+    return _pairing(u, commutator, d.values)
 
 
 def run_report(domain: QuadratureDomain, seed: int = 0) -> dict:

@@ -378,7 +378,8 @@ def test_criterion_10_normalization_bridge():
     assert dom.radius == 1.0
 
     def ref_speed(u0v, v0v):
-        return math.sqrt(float(np.einsum("j,j->", v0v * v0v * np.exp(u0v), wts)))
+        h = np.exp(0.5 * u0v)
+        return math.sqrt(float(np.einsum("j,j->", (v0v * h) * (v0v * h), wts)))
 
     def ref_point(u0v, v0v, t):
         s = ref_speed(u0v, v0v)

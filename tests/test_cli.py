@@ -492,6 +492,30 @@ def test_domain_mismatch_in_the_parents_half_beats_invalid_json_in_the_childs_ha
 
 
 @needs_two_cpus
+@pytest.mark.parametrize("own", ["different_inline", "missing_named"])
+def test_domain_flag_overrides_the_files_own_domains(tmp_path, monkeypatch, capsys, own):
+    paths = write_shared_domain_files(tmp_path, 6)
+    domain_path = str(tmp_path / "domain.json")
+    inline_b = []
+    for i, path in enumerate(paths):
+        obj = json.loads(Path(path).read_text())
+        inline_b.append(str(tmp_path / f"b{i}.json"))
+        Path(inline_b[-1]).write_text(json.dumps({**obj, "domain": {"weights": [1.0 / 64] * 16}}))
+        if own == "different_inline":
+            obj["domain"] = {"weights": [1.0 / 32] * 16}
+        else:
+            obj["domain"] = str(tmp_path / "missing_domain.json")
+        Path(path).write_text(json.dumps(obj))
+    assert cli.main(["distance", *inline_b, "--json"]) == 0
+    expected = json.loads(capsys.readouterr().out)["matrix"]
+    results = run_reader_three_ways(["distance", *paths, "--json", "--domain", domain_path], monkeypatch, capsys)
+    assert results[0] == results[1] == results[2]
+    code, stdout, stderr = results[0]
+    assert code == 0 and stderr == ""
+    assert json.loads(stdout)["matrix"] == expected
+
+
+@needs_two_cpus
 @pytest.mark.parametrize("fault", ["invalid_json", "missing_file", "negative_density", "text_density"])
 def test_fault_in_the_childs_half_is_reported_as_in_one_process(tmp_path, monkeypatch, capsys, fault):
     paths = write_shared_domain_files(tmp_path, 6)

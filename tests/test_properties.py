@@ -32,6 +32,7 @@ from calabi import (
     norm,
     parallel_transport,
     project_to_space,
+    project_to_tangent,
     random_point,
     random_tangent,
 )
@@ -157,6 +158,24 @@ def test_a_point_next_to_the_boundary(pair):
     assert math.isclose(norm(w, v), d, rel_tol=1e-13)
     back = exp_map(w, v)
     assert float(np.max(np.abs(immerse(back) - immerse(edge)))) < 1e-9
+
+
+@PROPERTY
+@given(st.integers(0, 2**32 - 1), st.floats(-3100.0, -2900.0), st.floats(1e160, 1e300))
+def test_norm_is_finite_where_the_density_underflows(seed, edge, large):
+    # v^2 overflows at node 0 and e^u underflows there; (v h)^2 is 0.
+    d16 = make_normalized_domain(16)
+    rng = np.random.default_rng(seed)
+    raw = rng.standard_normal(16)
+    raw[0] = edge
+    u = project_to_space(d16, raw)
+    r = rng.standard_normal(16)
+    r[0] = large
+    v = project_to_tangent(u, r)
+    h = np.exp(0.5 * u.values)
+    terms = d16.weights * (v.values * h) ** 2
+    reference = math.sqrt(math.fsum(terms.tolist()))
+    assert math.isclose(norm(u, v), reference, rel_tol=1e-15)
 
 
 @PROPERTY

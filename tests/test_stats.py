@@ -7,6 +7,7 @@ from calabi import (
     ConvergenceError,
     DensitySet,
     DomainMismatchError,
+    TangentVector,
     distance,
     distance_matrix,
     evaluate,
@@ -153,6 +154,19 @@ def test_mean_rejects_spread_inputs(d64):
     assert distance(u_a, u_b).d > 0.5 * math.pi - 1e-3
     with pytest.raises(DomainMismatchError, match="densities 0 and 1 are .* apart"):
         karcher_mean(DensitySet([u_a, u_b]))
+
+
+def test_mean_converges_with_a_point_at_the_boundary(d16):
+    # The start averages u = -3000 into about -750 at node 0, where the log
+    # direction is about 1e163: its square overflows while e^u underflows.
+    rng = np.random.default_rng(0)
+    pts = [random_point(d16, rng) for _ in range(3)]
+    raw = rng.standard_normal(16)
+    raw[0] = -3000.0
+    pts.append(project_to_space(d16, raw))
+    mean = karcher_mean(DensitySet(pts))
+    gradient = sum(log_map(mean, p).values for p in pts) / len(pts)
+    assert norm(mean, TangentVector(mean, gradient)) <= 1e-10
 
 
 def test_mean_convergence_error_carries_residual(rng, d16):
