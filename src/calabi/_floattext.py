@@ -20,9 +20,9 @@ The digits are laid out by Python's ``'r'`` rules: exponent form (``1e-05``,
 ``1.5e+16``) when the decimal point position ``decpt`` is ``<= -4`` or
 ``> 16``, else fixed form with ``.0`` after integers.  Each value's
 characters are gathered through one row of a layout table keyed by sign, form,
-digit count and ``decpt`` (or the exponent's sign and width).  Table rows,
-like the powers of ten the scaling multiplies by, are computed the first time
-a value needs them, so importing this module builds nothing.
+digit count and ``decpt`` (or the exponent's sign and width).  That table and
+the table of powers of ten the scaling multiplies by are built whole, once,
+the first time a value is formatted, so importing this module builds nothing.
 """
 
 from __future__ import annotations
@@ -67,28 +67,6 @@ _WIDTH = 25
 _FORMS = 24
 
 
-class _LazyRows:
-    """A table whose row ``i`` is ``row(i)``, computed the first time it is read."""
-
-    def __init__(self, size: int, width: int, dtype, row):
-        self._shape = (size, width)
-        self._dtype = dtype
-        self._row = row
-        self._table = self._done = None
-
-    def take(self, index: np.ndarray) -> np.ndarray:
-        if self._table is None:
-            self._table = np.zeros(self._shape, dtype=self._dtype)
-            self._done = np.zeros(self._shape[0], dtype=bool)
-        if not self._done[index].all():
-            wanted = np.zeros(self._shape[0], dtype=bool)
-            wanted[index] = True
-            for i in np.flatnonzero(wanted & ~self._done).tolist():
-                self._table[i] = self._row(i)
-                self._done[i] = True
-        return np.take(self._table, index, axis=0)
-
-
 def _scale_row(i: int) -> list[int]:
     """``g = floor(10^-k / 2^(e2 - 125)) + 1`` for ``k = i + _K_MIN`` as its
     top and bottom 63 bits, where ``e2 = floor(log2(10^-k))``."""
@@ -123,8 +101,16 @@ def _layout_row(key: int) -> list[int]:
     return [_COMMA] + chars + [_PAD] * (_WIDTH - 1 - len(chars))
 
 
-_SCALES = _LazyRows(_K_MAX - _K_MIN + 1, 2, _U64, _scale_row)
-_LAYOUTS = _LazyRows(2 * _NDIG * _FORMS, _WIDTH, np.intp, _layout_row)
+@functools.cache
+def _scales() -> np.ndarray:
+    """The table of ``_scale_row(i)`` for every ``k`` in [_K_MIN, _K_MAX]."""
+    return np.array([_scale_row(i) for i in range(_K_MAX - _K_MIN + 1)], dtype=_U64)
+
+
+@functools.cache
+def _layouts() -> np.ndarray:
+    """The table of ``_layout_row(key)`` for every layout key."""
+    return np.array([_layout_row(key) for key in range(2 * _NDIG * _FORMS)], dtype=np.intp)
 
 
 @functools.cache
@@ -164,7 +150,7 @@ def _decimal(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     regular = (t != 0) | (bq == 1)
     k = (q * 661971961083 - 274743187321 * ~regular) >> 41
     h = (q + ((-k * 913124641741) >> 38) + 2).astype(_U64)
-    g1, g0 = np.ascontiguousarray(_SCALES.take(k - _K_MIN).T)
+    g1, g0 = np.ascontiguousarray(np.take(_scales(), k - _K_MIN, axis=0).T)
     # the value and the two ends of its rounding interval, scaled by 4 and 2^h;
     # cp < 2^60, as _mul_hi needs
     cp = np.empty((3, len(bits)), dtype=_U64)
@@ -228,7 +214,7 @@ def _text(x: np.ndarray) -> str:
     fixed = (decpt > -4) & (decpt <= 16)
     form = np.where(fixed, decpt + 3, 20 + 2 * (exp < 0) + (mag >= 100))
     key = ((bits >> 63).astype(np.intp) * _NDIG + _NDIG - 1 - tz) * _FORMS + form
-    index = _LAYOUTS.take(key)
+    index = np.take(_layouts(), key, axis=0)
     index += np.arange(0, 4 * m, 4)[:, None]
     chars = np.take(src.view(np.uint8).ravel(), index)
     for i in np.flatnonzero(other).tolist():

@@ -271,7 +271,7 @@ def path_length(points: list[ConformalFactor], times) -> float:
     if len(points) < 2:
         raise ValueError("need at least two samples")
     dt = np.diff(times)
-    if np.any(dt <= 0.0):
+    if not np.all(dt > 0.0):
         raise ValueError("times must be strictly increasing")
     dom = points[0].domain
     u = np.array([p.values for p in points])

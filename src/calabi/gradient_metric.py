@@ -19,8 +19,10 @@ and geodesics are quadratic in t with a spatially constant quadratic term
 
     phi(t) = (<<psi0, psi0>> / (2 vol)) t^2 + psi0 t + phi0.
 
-Only surface grids are accepted; higher-dimensional analogues would require
-a potential-dependent elliptic solve and are out of scope.
+``gradient_cov_deriv`` takes ``connection.SampledCurve``'s checks, and
+``gradient_curvature`` runs on ``connection._nested_commutator``, like the
+curved metric's oracle.  Only surface grids are accepted; higher-dimensional
+analogues would need a potential-dependent elliptic solve.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .connection import SampledCurve, _nested_commutator
 from .errors import ConstraintError, DomainMismatchError
 from .quadrature import QuadratureDomain, integrate
 
@@ -112,10 +115,10 @@ class GridPotential:
         _require_grid(self.domain)
         v = self.domain.check_field(self.values)
         object.__setattr__(self, "values", v)
-        if np.any(1.0 + laplacian(self.domain, v) <= 0.0):
+        if not np.all(1.0 + laplacian(self.domain, v) > 0.0):
             raise ConstraintError("1 + lap(phi) must be positive at every node")
         nv = normalization_value(self.domain, v)
-        if abs(nv) > EPS_NORMALIZATION:
+        if not abs(nv) <= EPS_NORMALIZATION:
             raise ConstraintError(
                 f"normalization value {nv!r} is not zero; use make_grid_potential"
             )
@@ -138,7 +141,7 @@ class GridTangent:
         dom = self.potential.domain
         pairing = integrate(dom, v * self.potential.conformal_weight())
         scale = 1.0 + float(np.max(np.abs(v))) if v.size else 1.0
-        if abs(pairing) > EPS_NORMALIZATION * dom.vol * scale:
+        if not abs(pairing) <= EPS_NORMALIZATION * dom.vol * scale:
             raise ConstraintError(
                 f"integrate(psi (1 + lap phi)) = {pairing!r} is not zero; "
                 "use project_to_grid_tangent"
@@ -197,24 +200,20 @@ def gradient_inner_gradform(phi: GridPotential, psi: GridTangent, chi: GridTange
 def gradient_cov_deriv(times, potentials: list[GridPotential], sections, index: int) -> np.ndarray:
     """Covariant derivative of a sampled section at an interior time index.
 
-    Central differences supply psi' and phi'; the correction is the constant
+    ``SampledCurve(times, potentials)`` checks the samples and gives phi';
+    psi' is the same central difference, and the correction is the constant
     field (1/vol) <<psi, phi'>>.  Returns a plain field, tangent at the
     evaluation point up to the finite-difference error.
     """
-    times = np.asarray(times, dtype=float)
+    curve = SampledCurve(times, potentials)
     sections = np.asarray(sections, dtype=float)
-    if times.size < 3 or np.any(np.diff(times) <= 0.0):
-        raise ValueError("need at least 3 strictly increasing time samples")
-    if len(potentials) != times.size or sections.shape[0] != times.size:
-        raise ValueError("need one potential and one section per time sample")
-    if not 0 < index < times.size - 1:
-        raise IndexError(f"index {index} is not interior")
+    if sections.shape[0] != curve.times.size:
+        raise ValueError("need one section per time sample")
+    phi_dot = curve.velocity_field(index)
     dom = potentials[0].domain
-    dt = times[index + 1] - times[index - 1]
+    dt = curve.times[index + 1] - curve.times[index - 1]
     psi_dot = (sections[index + 1] - sections[index - 1]) / dt
-    phi_dot = (potentials[index + 1].values - potentials[index - 1].values) / dt
-    corr = _pairing(dom, sections[index], phi_dot) / dom.vol
-    return psi_dot - corr
+    return psi_dot - _pairing(dom, sections[index], phi_dot) / dom.vol
 
 
 def gradient_admissible_interval(phi0: GridPotential, psi0: GridTangent) -> tuple[float, float]:
@@ -259,42 +258,27 @@ def gradient_curvature(
     c: GridTangent,
     d: GridTangent,
 ) -> float:
-    """Pairing of (D_t D_s - D_s D_t) applied to a section against ``d``.
+    """Pairing of (D_q D_r - D_r D_q) applied to a section against ``d``.
 
-    Built on the two-parameter family phi + t a + s b with the section given
-    by projecting ``c`` to each tangent space, in central differences of step
-    FD_CURVATURE_DELTA; all of them are exact for this affine family, so the
-    result is zero to rounding.
+    Runs ``connection._nested_commutator`` on the two-parameter family
+    phi + q a + r b with the section given by projecting ``c`` to each
+    tangent space, in central differences of step FD_CURVATURE_DELTA; all of
+    them are exact for this affine family, so the result is zero to rounding.
     """
-    delta = FD_CURVATURE_DELTA
     for x in (a, b, c, d):
         _check_at(phi, x, "tangent argument")
     dom = phi.domain
     base = phi.values
     va, vb, vc = a.values, b.values, c.values
 
-    def section(s: float, t: float) -> np.ndarray:
-        wgt = 1.0 + laplacian(dom, base + t * va + s * vb)
-        if np.any(wgt <= 0.0):
+    def section(q: float, r: float) -> np.ndarray:
+        wgt = 1.0 + laplacian(dom, base + q * va + r * vb)
+        if not np.all(wgt > 0.0):
             raise ValueError("family leaves the space within the difference step")
-        mean = integrate(dom, vc * wgt) / dom.vol
-        return vc - mean
+        return vc - integrate(dom, vc * wgt) / dom.vol
 
-    def cov(first: np.ndarray, s: float, t: float, along: np.ndarray) -> np.ndarray:
-        return first - _pairing(dom, section(s, t), along) / dom.vol
+    def cov(q: float, r: float, axis: int, deriv: np.ndarray, sec: np.ndarray) -> np.ndarray:
+        return deriv - _pairing(dom, sec, (va, vb)[axis]) / dom.vol
 
-    def d_s(s: float, t: float) -> np.ndarray:
-        ds = (section(s + delta, t) - section(s - delta, t)) / (2.0 * delta)
-        return cov(ds, s, t, vb)
-
-    def d_t(s: float, t: float) -> np.ndarray:
-        dt = (section(s, t + delta) - section(s, t - delta)) / (2.0 * delta)
-        return cov(dt, s, t, va)
-
-    dt_ds = (d_s(0.0, delta) - d_s(0.0, -delta)) / (2.0 * delta) - _pairing(
-        dom, d_s(0.0, 0.0), va
-    ) / dom.vol
-    ds_dt = (d_t(delta, 0.0) - d_t(-delta, 0.0)) / (2.0 * delta) - _pairing(
-        dom, d_t(0.0, 0.0), vb
-    ) / dom.vol
-    return _pairing(dom, dt_ds - ds_dt, d.values)
+    commutator = _nested_commutator(section, cov, FD_CURVATURE_DELTA)
+    return _pairing(dom, commutator, d.values)

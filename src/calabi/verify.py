@@ -1,11 +1,12 @@
 """Self-contained verification suite exercising every module's invariants.
 
 Each check compares a closed form with an oracle that does not call it: the
-curvature tensor with ``finite_difference_curvature``, ``parallel_transport``
-with the RK4 ``connection._transport_ode``, Jacobi ``method="closed"`` with
-``method="ode"``, the metric with its defining integral ``integrate(v w e^u)``,
-and the grid metric's two forms with each other.  It backs the ``verify`` CLI
-command.
+curvature tensor with ``finite_difference_curvature`` (which, like the grid
+metric's ``gradient_curvature``, runs on ``connection._nested_commutator``),
+``parallel_transport`` with the RK4 ``connection._transport_ode``, Jacobi
+``method="closed"`` with ``method="ode"``, the metric with its defining
+integral ``integrate(v w e^u)``, and the grid metric's two forms with each
+other.  It backs the ``verify`` CLI command.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import numpy as np
 
 from .connection import (
     SampledCurve,
+    _nested_commutator,
     _transport_ode,
     cov_deriv,
     curvature_tensor,
@@ -105,55 +107,26 @@ def finite_difference_curvature(
 ) -> float:
     """Curvature pairing <(D_a D_b - D_b D_a) C, d> by nested differences.
 
-    Works on the two-parameter geodesic family (q, r) -> exp(q a + r b) with
-    the section obtained by projecting ``c`` to each tangent space, in
-    central differences of step FD_CURVATURE_DELTA; no use is made of the
-    closed curvature tensor.
+    Runs ``connection._nested_commutator`` on the two-parameter geodesic
+    family (q, r) -> exp(q a + r b) with the section obtained by projecting
+    ``c`` to each tangent space, in central differences of step
+    FD_CURVATURE_DELTA; no use is made of the closed curvature tensor.
     """
-    u = u0
     delta = FD_CURVATURE_DELTA
+    vol = u0.domain.vol
 
     def point(q: float, r: float) -> ConformalFactor:
-        vec = TangentVector(u, q * a.values + r * b.values)
-        return exp_map(u, vec)
+        return exp_map(u0, TangentVector(u0, q * a.values + r * b.values))
 
     def section(q: float, r: float) -> np.ndarray:
         return project_to_tangent(point(q, r), c.values).values
 
-    def vel_q(q: float, r: float) -> np.ndarray:
-        return (point(q + delta, r).values - point(q - delta, r).values) / (2.0 * delta)
+    def cov(q: float, r: float, axis: int, deriv: np.ndarray, sec: np.ndarray) -> np.ndarray:
+        dq, dr = (delta, 0.0) if axis == 0 else (0.0, delta)
+        vel = (point(q + dq, r + dr).values - point(q - dq, r - dr).values) / (2.0 * delta)
+        return deriv + 0.5 * sec * vel + _pairing(point(q, r), sec, vel) / (2.0 * vol)
 
-    def vel_r(q: float, r: float) -> np.ndarray:
-        return (point(q, r + delta).values - point(q, r - delta).values) / (2.0 * delta)
-
-    dom = u.domain
-
-    def cov(base: ConformalFactor, deriv: np.ndarray, sec: np.ndarray, vel: np.ndarray) -> np.ndarray:
-        pairing = _pairing(base, sec, vel)
-        return deriv + 0.5 * sec * vel + pairing / (2.0 * dom.vol)
-
-    def d_r_section(q: float) -> np.ndarray:
-        deriv = (section(q, delta) - section(q, -delta)) / (2.0 * delta)
-        return cov(point(q, 0.0), deriv, section(q, 0.0), vel_r(q, 0.0))
-
-    def d_q_section(r: float) -> np.ndarray:
-        deriv = (section(delta, r) - section(-delta, r)) / (2.0 * delta)
-        return cov(point(0.0, r), deriv, section(0.0, r), vel_q(0.0, r))
-
-    dq_dr = cov(
-        u,
-        (d_r_section(delta) - d_r_section(-delta)) / (2.0 * delta),
-        d_r_section(0.0),
-        vel_q(0.0, 0.0),
-    )
-    dr_dq = cov(
-        u,
-        (d_q_section(delta) - d_q_section(-delta)) / (2.0 * delta),
-        d_q_section(0.0),
-        vel_r(0.0, 0.0),
-    )
-    commutator = dq_dr - dr_dq
-    return _pairing(u, commutator, d.values)
+    return _pairing(u0, _nested_commutator(section, cov, delta), d.values)
 
 
 def run_report(domain: QuadratureDomain, seed: int = 0) -> dict:

@@ -90,6 +90,21 @@ def test_sampled_curve_validation(rng, d16):
         SampledCurve(times=[0.0, 1.0], points=[u, u])
     with pytest.raises(ValueError, match="strictly increasing"):
         SampledCurve(times=[0.0, 0.0, 1.0], points=[u, u, u])
+    with pytest.raises(ValueError, match="strictly increasing"):
+        SampledCurve(times=[0.0, np.nan, 1.0], points=[u, u, u])
+
+
+def test_cov_deriv_rejects_nan_section(rng, d16):
+    # a NaN pairing compares False against the tolerance, so the check must
+    # accept only a pairing that passes
+    u0 = random_point(d16, rng, amplitude=0.4)
+    seg = geodesic_cauchy(u0, random_admissible_tangent(u0, rng, fill=0.6))
+    times = [-1e-3, 0.0, 1e-3]
+    curve = SampledCurve.from_geodesic(seg, times)
+    secs = np.array([seg.velocity_values(t) for t in times])
+    secs[1, 3] = np.nan
+    with pytest.raises(ConstraintError, match="not tangent"):
+        cov_deriv(curve, secs, 1)
 
 
 def test_transport_at_zero_is_identity(rng, d16):

@@ -247,6 +247,13 @@ def test_path_length_of_geodesic_matches_distance(d16, rng):
     assert path_length(pts, times) == pytest.approx(distance(u0, u1).d, rel=1e-4)
 
 
+def test_path_length_rejects_nan_times(d16, rng):
+    # NaN compares False, so the check must accept only increasing steps
+    pts = [random_point(d16, rng) for _ in range(3)]
+    with pytest.raises(ValueError, match="strictly increasing"):
+        path_length(pts, [0.0, np.nan, 1.0])
+
+
 def test_minimizing_property_small(rng, d16):
     u0 = random_point(d16, rng, amplitude=0.5)
     u1 = random_point(d16, rng, amplitude=0.5)

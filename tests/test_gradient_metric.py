@@ -80,6 +80,24 @@ def test_potential_normalization_enforced(grid8):
         GridPotential(grid8, values)
 
 
+def test_potential_rejects_nan():
+    # a NaN node makes the normalization value NaN and so every node NaN;
+    # NaN compares False, so the checks must accept only what passes
+    grid = make_torus_grid(4, 4, 1.0)
+    raw = np.zeros(16)
+    raw[3] = np.nan
+    with pytest.raises(ConstraintError, match="positive"):
+        make_grid_potential(grid, raw)
+
+
+def test_tangent_rejects_nan():
+    grid = make_torus_grid(4, 4, 1.0)
+    values = np.zeros(16)
+    values[3] = np.nan
+    with pytest.raises(ConstraintError, match="project_to_grid_tangent"):
+        GridTangent(make_grid_potential(grid, np.zeros(16)), values)
+
+
 def test_tangent_constraint(phi0, rng):
     with pytest.raises(ConstraintError, match="project_to_grid_tangent"):
         GridTangent(phi0, np.full(64, 1.0))
@@ -179,6 +197,14 @@ def test_cov_deriv_metric_compatibility(phi0, rng):
         np.dot(out * laplacian(phi0.domain, sections[1]), phi0.domain.weights)
     )
     assert lhs == pytest.approx(rhs, abs=1e-6)
+
+
+def test_cov_deriv_rejects_potentials_on_distinct_domains(phi0, rng):
+    # two equal grids are still two domains, as for the curved metric's curves
+    twin = make_grid_potential(make_torus_grid(8, 8, 1.0), phi0.values)
+    sections = np.tile(small_tangent(phi0, rng).values, (3, 1))
+    with pytest.raises(DomainMismatchError, match="share one domain"):
+        gradient_cov_deriv([-0.01, 0.0, 0.01], [phi0, twin, phi0], sections, 1)
 
 
 def test_geodesic_zero_velocity(phi0):

@@ -33,6 +33,10 @@ ORACLES = {
         "connection.curvature_tensor",
         "connection.sectional_curvature",
     },
+    "connection._nested_commutator": {
+        "connection.curvature_tensor",
+        "connection.sectional_curvature",
+    },
     "jacobi.jacobi_ode_rhs": JACOBI_CLOSED,
     "connection._rk4": JACOBI_CLOSED,
 }
