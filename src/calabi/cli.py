@@ -15,11 +15,11 @@ Density and domain files use the JSON forms documented in ``space`` and
 ``quadrature``.  Every file output starts with a header carrying the tool
 version, a hash of the run configuration, and the seed, so reruns are
 byte-identical.  Exit codes: 0 success, 2 input error, 3 verification
-failure, 4 convergence failure.  When at least two CPUs are usable,
-``interpolate`` writes its frame files from one forked helper process while
-it writes ``curve.csv`` itself, and ``distance`` and ``mean`` read the second
-half of a large set of density files in one forked helper process while they
-read the first half themselves.  Outputs, error messages and exit codes are
+failure, 4 convergence failure.  Every input file is parsed by
+``quadrature._read_json`` (``orjson``), one file at a time in input order.
+When at least two CPUs are usable, ``interpolate`` writes its frame files
+from one forked helper process while it writes ``curve.csv`` itself; the
+other commands never fork.  Outputs, error messages and exit codes are
 byte-identical either way.  ``interpolate`` formats and writes each CSV file
 one row at a time, and each row in pieces of at most 4096 values, so its
 memory does not grow with ``--frames``; a failure part-way through can leave
@@ -43,10 +43,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._floattext import float_pieces
+from ._floattext import PIECE, float_pieces
 from .errors import ConvergenceError, GeometryError
 from .geodesics import evaluate, geodesic_dirichlet
-from .quadrature import QuadratureDomain, domain_from_dict, load_domain, make_normalized_domain
+from .quadrature import QuadratureDomain, _read_json, domain_from_dict, load_domain, make_normalized_domain
 from .space import density_to_dict, load_density
 from .stats import DensitySet, distance_matrix, karcher_mean
 from .verify import run_report
@@ -59,13 +59,6 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_VERIFY = 3
 EXIT_CONVERGENCE = 4
-
-# Density files whose combined size reaches this many bytes are read by two
-# processes.  Parsing costs about 25 ns per byte; importing multiprocessing
-# and one fork round trip cost about 20 ms in a fresh process, which half of
-# a 2 MB parse repays.
-_FORK_READ_BYTES = 2_000_000
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -125,44 +118,6 @@ def _normalized(domain: QuadratureDomain) -> QuadratureDomain:
     return QuadratureDomain(weights=domain.weights * scale, vol=0.25, grid=domain.grid)
 
 
-def _read_json(path: str):
-    try:
-        return json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: invalid JSON ({exc})") from exc
-
-
-def _read_density_files(paths: list[str]) -> tuple[list, Exception | None]:
-    """Parse ``paths`` in order, up to the first one that fails.
-
-    Returns the parsed objects and that failure, or None.  Each ``"u"`` or
-    ``"density"`` list becomes a float64 array; one that does not convert is
-    left as it is, so that ``load_density`` raises its usual error on it.
-    """
-    objs = []
-    for p in paths:
-        try:
-            obj = _read_json(p)
-        except Exception as exc:
-            return objs, exc
-        if isinstance(obj, dict):
-            for key in ("u", "density"):
-                if key in obj:
-                    try:
-                        obj[key] = np.asarray(obj[key], dtype=float)
-                    except (TypeError, ValueError, OverflowError):
-                        pass
-        objs.append(obj)
-    return objs, None
-
-
-def _file_size(path: str) -> int:
-    try:
-        return os.stat(path).st_size
-    except OSError:
-        return 0
-
-
 def _load_inputs(paths: list[str], domain_path: str | None, normalize: bool):
     """Load density files onto one shared domain.
 
@@ -170,14 +125,9 @@ def _load_inputs(paths: list[str], domain_path: str | None, normalize: bool):
     domains are then neither read nor compared.  Else it is the first file's,
     and every file that names a domain must name one with the same weights.
     A domain file is read once per command, however many files name it.
-    This process parses, checks and converts density files one at a time,
-    so it holds one parsed document at once.
-
-    When more than two files together reach ``_FORK_READ_BYTES``, a forked
-    helper (``_fork_call``) parses the second half meanwhile.  Its files are
-    checked and converted here afterwards, in input order, and the error it
-    stopped at is raised only after them, so the first faulty file in input
-    order is the one reported, as in a single process.
+    Files are parsed, checked and converted one at a time, in input order,
+    so the first faulty file is the one reported and one parsed document is
+    held at once.
     """
     domains: dict[str, QuadratureDomain] = {}
     base = domain = None
@@ -194,8 +144,21 @@ def _load_inputs(paths: list[str], domain_path: str | None, normalize: bool):
             return None
         return named_domain(entry) if isinstance(entry, str) else domain_from_dict(entry)
 
-    def add(p: str, obj) -> None:
-        nonlocal base, domain
+    if domain_path:
+        base = named_domain(domain_path)
+    for p in paths:
+        obj = _read_json(p)
+        if not isinstance(obj, dict):
+            raise ValueError(f"{p}: a density file must hold a JSON object")
+        # Each field list becomes an array at once, so that its Python floats
+        # are freed before the domain file is parsed; a list that does not
+        # convert is left for load_density to reject after the domain checks.
+        for key in ("u", "density"):
+            if key in obj:
+                try:
+                    obj[key] = np.asarray(obj[key], dtype=float)
+                except (TypeError, ValueError, OverflowError):
+                    pass
         own = None if domain_path else file_domain(obj)
         if base is None:
             if own is None:
@@ -209,23 +172,7 @@ def _load_inputs(paths: list[str], domain_path: str | None, normalize: bool):
             points.append(load_density(obj, domain=domain))
         except (ValueError, GeometryError) as exc:
             raise ValueError(f"{p}: {exc}") from exc
-
-    cut = len(paths)
-    if cut > 2 and sum(map(_file_size, paths)) >= _FORK_READ_BYTES:
-        cut //= 2
-    tail = paths[cut:]
-    wait = _fork_call(lambda: _read_density_files(tail)) if tail else lambda: ([], None)
-    try:
-        if domain_path:
-            base = named_domain(domain_path)
-        for p in paths[:cut]:
-            add(p, _read_json(p))
-    finally:
-        objs, error = wait()
-    for p, obj in zip(tail, objs):
-        add(p, obj)
-    if error is not None:
-        raise error
+        del obj  # before the next file is parsed
     return domain, points
 
 
@@ -259,28 +206,25 @@ def _csv_row(first: str, values: np.ndarray) -> Iterator[str]:
 def _fork_call(fn):
     """Start ``fn()`` in one forked child and return a ``wait`` function.
 
-    ``wait()`` joins the child and returns what ``fn`` returned, or
-    re-raises in the caller the exception ``fn`` raised.  The child sends
-    back ``(ok, value_or_exception)`` through a one-way pipe, so the value
-    must pickle.  A child that dies without sending it raises
-    ``ChildProcessError``.  The child inherits ``fn`` and everything it
-    refers to through the fork, so nothing is pickled on the way in.  With
-    fewer than two usable CPUs (``os.sched_getaffinity``, which honours
-    ``taskset`` and cpusets), or where it does not exist, ``fn`` runs in the
-    calling process at once and ``wait()`` returns its value.
+    ``wait()`` joins the child and re-raises in the caller the exception
+    ``fn`` raised.  The child sends back that exception, or None, through a
+    one-way pipe, so the exception must pickle.  A child that dies without
+    sending it raises ``ChildProcessError``.  The child inherits ``fn`` and
+    everything it refers to through the fork, so nothing is pickled on the
+    way in.  With fewer than two usable CPUs (``os.sched_getaffinity``,
+    which honours ``taskset`` and cpusets), or where it does not exist,
+    ``fn`` runs in the calling process at once and ``wait()`` does nothing.
 
-    Forking while numpy's idle OpenBLAS threads exist is safe here because
-    no child calls BLAS.  The frame writer of ``interpolate`` only evaluates
-    geodesic points (``exp`` and ``einsum`` sums), formats them with the
-    array formatter's elementwise integer ops (``_floattext``) and writes
-    files.  The density reader of ``distance`` and ``mean`` only reads files,
-    parses them with ``json`` and converts lists with ``np.asarray``.  That is
-    why the interpreter's warning about forking a multi-threaded process is
-    silenced for these forks.
+    ``interpolate`` runs its frame writer here.  Forking while numpy's idle
+    OpenBLAS threads exist is safe because the writer calls no BLAS: it only
+    evaluates geodesic points (``exp`` and ``einsum`` sums), formats them
+    with the array formatter's elementwise integer ops (``_floattext``) and
+    writes files.  That is why the interpreter's warning about forking a
+    multi-threaded process is silenced for this fork.
     """
     if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
-        value = fn()
-        return lambda: value
+        fn()
+        return lambda: None
     import multiprocessing
     import warnings
 
@@ -288,30 +232,31 @@ def _fork_call(fn):
     receiver, sender = ctx.Pipe(duplex=False)
 
     def child() -> None:
+        error = None
         try:
-            reply = (True, fn())
+            fn()
         except Exception as exc:
-            reply = (False, exc)
-        sender.send(reply)
+            error = exc
+        sender.send(error)
 
     process = ctx.Process(target=child)
     with sender, warnings.catch_warnings():
         warnings.filterwarnings("ignore", "This process .* is multi-threaded", DeprecationWarning)
         process.start()
 
-    def wait():
+    def wait() -> None:
+        sent = True
         try:
-            reply = receiver.recv()
+            error = receiver.recv()
         except EOFError:
-            reply = None
+            sent, error = False, None
         finally:
             receiver.close()
             process.join()
-        if reply is not None and not reply[0]:
-            raise reply[1]
-        if reply is None or process.exitcode != 0:
+        if error is not None:
+            raise error
+        if not sent or process.exitcode != 0:
             raise ChildProcessError(f"forked helper exited with code {process.exitcode}")
-        return reply[1]
 
     return wait
 
@@ -324,7 +269,10 @@ def cmd_interpolate(args: argparse.Namespace) -> int:
     seg, t0 = geodesic_dirichlet(u0, u1)
     d = domain.radius * t0
     out_dir = Path(args.out_dir or os.environ.get(OUTPUT_DIR_ENV, "."))
-    node_header = ",".join(["t"] + [f"node_{i}" for i in range(domain.node_count)])
+    n = domain.node_count
+    # PIECE names at a time, so that the names of a large domain never all exist at once.
+    names = (",node_".join(map(str, range(a, min(a + PIECE, n)))) for a in range(0, n, PIECE))
+    node_header = "t,node_" + ",node_".join(names)
     header = "\n".join(config.csv_header() + [node_header]) + "\n"
 
     times = [t0 * i / (args.frames - 1) for i in range(args.frames)]
@@ -468,9 +416,6 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONVERGENCE
     except (GeometryError, ValueError, OverflowError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except json.JSONDecodeError as exc:
-        print(f"error: invalid JSON input ({exc})", file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -9,7 +9,6 @@ spacing for the gradient-metric module, which does need adjacency.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -67,7 +66,8 @@ class QuadratureDomain:
             raise ValueError(f"need at least 2 nodes, got {w.size}")
         if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
             raise ValueError("every weight must be finite and strictly positive")
-        exact = math.fsum(w.tolist())
+        # A memoryview yields one float at a time, so no list of N floats is built.
+        exact = math.fsum(memoryview(w))
         if not abs(self.vol - exact) <= VOL_TOL * exact:
             raise ValueError(
                 f"recorded volume {self.vol!r} differs from sum of weights {exact!r}"
@@ -166,7 +166,7 @@ def domain_from_dict(obj: dict) -> QuadratureDomain:
     if "weights" not in obj:
         raise ValueError('domain object must carry a "weights" list')
     weights = np.asarray(obj["weights"], dtype=float)
-    vol = math.fsum(weights.tolist())
+    vol = math.fsum(memoryview(weights.ravel()))
     grid = None
     if obj.get("grid") is not None:
         g = obj["grid"]
@@ -175,8 +175,23 @@ def domain_from_dict(obj: dict) -> QuadratureDomain:
     return QuadratureDomain(weights=weights, vol=vol, grid=grid)
 
 
+def _read_json(path: str | Path):
+    """Parse the JSON file at ``path``; every input file is read here.
+
+    ``orjson`` parses numbers correctly rounded, to the same doubles as
+    ``float`` of their text.  It rejects the ``NaN`` and ``Infinity`` tokens
+    and numbers that overflow a double.  A file that does not parse raises
+    ``ValueError`` naming the file.  The import is deferred to the first
+    read, so that a command that reads no file does not pay for it.
+    """
+    import orjson
+
+    try:
+        return orjson.loads(Path(path).read_bytes())
+    except orjson.JSONDecodeError as exc:
+        raise ValueError(f"{path}: invalid JSON ({exc})") from exc
+
+
 def load_domain(path: str | Path) -> QuadratureDomain:
     """Load a domain from a JSON file."""
-    with open(path) as fh:
-        obj = json.load(fh)
-    return domain_from_dict(obj)
+    return domain_from_dict(_read_json(path))

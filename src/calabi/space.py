@@ -20,14 +20,13 @@ after ``e^u`` underflows relative precision.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConstraintError, DomainMismatchError
-from .quadrature import QuadratureDomain, domain_from_dict, integrate, load_domain
+from .quadrature import QuadratureDomain, _read_json, domain_from_dict, integrate, load_domain
 
 __all__ = [
     "ConformalFactor",
@@ -198,11 +197,7 @@ def load_density(source: str | Path | dict, domain: QuadratureDomain | None = No
     form is ingested as ``u = log(density)`` and then renormalized.  An
     explicit ``domain`` argument overrides (or supplies) the file's domain.
     """
-    if isinstance(source, (str, Path)):
-        with open(source) as fh:
-            obj = json.load(fh)
-    else:
-        obj = source
+    obj = _read_json(source) if isinstance(source, (str, Path)) else source
     if domain is None:
         entry = obj.get("domain")
         if entry is None:

@@ -286,10 +286,11 @@ def test_outputs_end_in_exactly_one_newline(tmp_path, capsys):
 
 
 def test_commands_other_than_interpolate_do_not_import_multiprocessing(tmp_path):
-    a, b = write_d2_pair(tmp_path)
+    paths = write_shared_domain_files(tmp_path, 6)
     script = (
         "import sys, calabi.cli\n"
-        f"assert calabi.cli.main(['distance', {a!r}, {b!r}]) == 0\n"
+        f"assert calabi.cli.main(['distance', *{paths!r}]) == 0\n"
+        f"assert calabi.cli.main(['mean', *{paths!r}]) == 0\n"
         "print('multiprocessing' in sys.modules, file=sys.stderr)\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
@@ -414,86 +415,23 @@ def test_later_file_with_a_different_domain_is_rejected(tmp_path, capsys, inline
     assert "other.json carries a domain different" in capsys.readouterr().err
 
 
-def read_in_two_processes(monkeypatch):
-    """Make the CLI fork its density reader for more than two files, however small."""
-    monkeypatch.setattr(cli, "_FORK_READ_BYTES", 1)
-
-
-def record_json_pids(tmp_path, monkeypatch):
-    """Append the id of each process that calls ``json.loads`` to a file."""
-    log = tmp_path / "json_pids.txt"
-    real = json.loads
-
-    def recording(text, **kwargs):
-        with open(log, "a") as fh:
-            fh.write(f"{os.getpid()}\n")
-        return real(text, **kwargs)
-
-    monkeypatch.setattr(json, "loads", recording)
-    return log
-
-
 READER_COMMANDS = [["distance"], ["distance", "--json"], ["mean"]]
 
 
-@needs_two_cpus
-def test_forked_reader_is_byte_identical_to_in_process(tmp_path, monkeypatch, capsys):
-    paths = write_shared_domain_files(tmp_path, 6)
-    read_in_two_processes(monkeypatch)
-    pids = record_json_pids(tmp_path, monkeypatch)
-    forked = []
-    for command in READER_COMMANDS:
-        assert cli.main([command[0], *paths, *command[1:]]) == 0
-        forked.append(capsys.readouterr())
-        # The domain file and the first three density files are parsed
-        # here, the last three in one child.
-        calls = pids.read_text().split()
-        pids.unlink()
-        child = set(calls) - {str(os.getpid())}
-        assert len(child) == 1 and calls.count(str(os.getpid())) == 4 and len(calls) == 7
-        assert multiprocessing.active_children() == []
-    run_in_process(monkeypatch)
-    for command, expected in zip(READER_COMMANDS, forked):
-        assert cli.main([command[0], *paths, *command[1:]]) == 0
-        assert capsys.readouterr() == expected
-    assert set(pids.read_text().split()) == {str(os.getpid())}
-
-
-def run_reader_three_ways(argv, monkeypatch, capsys):
-    """(exit code, stdout, stderr) of ``argv`` read in one process, read by
-    two processes, and split but read in one process."""
-    results = []
-    with monkeypatch.context() as patch:
-        for run in ("unsplit", "forked", "split_in_process"):
-            if run == "forked":
-                read_in_two_processes(patch)
-            if run == "split_in_process":
-                run_in_process(patch)
-            code = cli.main(argv)
-            captured = capsys.readouterr()
-            results.append((code, captured.out, captured.err))
-            assert multiprocessing.active_children() == []
-    return results
-
-
-@needs_two_cpus
-def test_domain_mismatch_in_the_parents_half_beats_invalid_json_in_the_childs_half(
-    tmp_path, monkeypatch, capsys
-):
+def test_domain_mismatch_in_the_parents_half_beats_invalid_json_in_the_childs_half(tmp_path, capsys):
+    """An earlier domain mismatch is reported before a later invalid file."""
     paths = write_shared_domain_files(tmp_path, 6)
     other = tmp_path / "other.json"
     other.write_text(json.dumps({"domain": {"weights": [1.0 / 32] * 16}, "u": [0.0] * 16}))
     Path(paths[4]).write_text("{not json")
-    results = run_reader_three_ways(["distance", paths[0], str(other), *paths[1:]], monkeypatch, capsys)
-    assert results[0] == results[1] == results[2]
-    code, stdout, stderr = results[0]
-    assert code == cli.EXIT_INPUT and stdout == ""
-    assert stderr == f"error: {other} carries a domain different from the shared one\n"
+    assert cli.main(["distance", paths[0], str(other), *paths[1:]]) == cli.EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {other} carries a domain different from the shared one\n"
 
 
-@needs_two_cpus
 @pytest.mark.parametrize("own", ["different_inline", "missing_named"])
-def test_domain_flag_overrides_the_files_own_domains(tmp_path, monkeypatch, capsys, own):
+def test_domain_flag_overrides_the_files_own_domains(tmp_path, capsys, own):
     paths = write_shared_domain_files(tmp_path, 6)
     domain_path = str(tmp_path / "domain.json")
     inline_b = []
@@ -508,16 +446,15 @@ def test_domain_flag_overrides_the_files_own_domains(tmp_path, monkeypatch, caps
         Path(path).write_text(json.dumps(obj))
     assert cli.main(["distance", *inline_b, "--json"]) == 0
     expected = json.loads(capsys.readouterr().out)["matrix"]
-    results = run_reader_three_ways(["distance", *paths, "--json", "--domain", domain_path], monkeypatch, capsys)
-    assert results[0] == results[1] == results[2]
-    code, stdout, stderr = results[0]
-    assert code == 0 and stderr == ""
-    assert json.loads(stdout)["matrix"] == expected
+    assert cli.main(["distance", *paths, "--json", "--domain", domain_path]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["matrix"] == expected
 
 
-@needs_two_cpus
 @pytest.mark.parametrize("fault", ["invalid_json", "missing_file", "negative_density", "text_density"])
-def test_fault_in_the_childs_half_is_reported_as_in_one_process(tmp_path, monkeypatch, capsys, fault):
+def test_fault_in_the_childs_half_is_reported_as_in_one_process(tmp_path, capsys, fault):
+    """The first faulty file in input order is the one reported."""
     paths = write_shared_domain_files(tmp_path, 6)
     domain = json.loads(Path(paths[0]).read_text())["domain"]
     if fault == "invalid_json":
@@ -531,12 +468,44 @@ def test_fault_in_the_childs_half_is_reported_as_in_one_process(tmp_path, monkey
     # A later fault must not be the one reported.
     Path(paths[5]).write_text("[")
     for command in READER_COMMANDS:
-        results = run_reader_three_ways([command[0], *paths, *command[1:]], monkeypatch, capsys)
-        assert results[0] == results[1] == results[2]
-        code, stdout, stderr = results[0]
-        assert code == cli.EXIT_INPUT and stdout == ""
-        assert stderr.startswith("error: ") and stderr.count("\n") == 1
-        assert paths[4] in stderr and paths[5] not in stderr
+        assert cli.main([command[0], *paths, *command[1:]]) == cli.EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert paths[4] in captured.err and paths[5] not in captured.err
+
+
+@pytest.mark.parametrize("target", ["distance", "verify"])
+def test_invalid_json_in_a_domain_file_names_the_file(tmp_path, capsys, target):
+    a, b = write_d2_pair(tmp_path)
+    bad = tmp_path / "domain.json"
+    bad.write_text("{not json")
+    argv = ["distance", a, b, "--domain", str(bad)] if target == "distance" else ["verify", str(bad)]
+    assert cli.main(argv) == cli.EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {bad}: invalid JSON (") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400"])
+def test_non_finite_number_tokens_are_invalid_json(tmp_path, capsys, token):
+    """The reader accepts only numbers that parse to finite doubles."""
+    a, _ = write_d2_pair(tmp_path)
+    bad = tmp_path / "bad.json"
+    bad.write_text(f'{{"domain": {{"weights": [0.125, 0.125]}}, "u": [{token}, 0.0]}}')
+    for command in READER_COMMANDS:
+        assert cli.main([command[0], a, str(bad), *command[1:]]) == cli.EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {bad}: invalid JSON (")
+
+
+def test_density_file_that_is_not_an_object_is_an_input_error(tmp_path, capsys):
+    a, _ = write_d2_pair(tmp_path)
+    bad = tmp_path / "list.json"
+    bad.write_text("[0.5, 1.5]")
+    assert cli.main(["distance", a, str(bad)]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {bad}: a density file must hold a JSON object\n"
 
 
 def test_normalize_flag_rescales_volume(tmp_path, capsys):

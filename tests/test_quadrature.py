@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from calabi import (
     QuadratureDomain,
@@ -13,7 +15,7 @@ from calabi import (
     make_torus_grid,
     random_point,
 )
-from calabi.quadrature import domain_from_dict
+from calabi.quadrature import _read_json, domain_from_dict
 
 
 def test_integrate_constant_is_volume(d2, d3):
@@ -153,7 +155,54 @@ def test_json_round_trip(tmp_path):
 def test_domain_from_dict_errors():
     with pytest.raises(ValueError, match="weights"):
         domain_from_dict({})
+    with pytest.raises(ValueError, match="1D"):
+        domain_from_dict({"weights": [[0.1, 0.1], [0.1, 0.1]]})
     with pytest.raises(ValueError, match="does not match"):
         domain_from_dict({"weights": [0.1] * 10, "grid": {"nx": 3, "ny": 4}})
     with pytest.raises(ValueError, match="uniform"):
         domain_from_dict({"weights": [0.1] * 8 + [0.2], "grid": {"nx": 3, "ny": 3}})
+
+
+@pytest.fixture(scope="module")
+def json_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("reader") / "numbers.json"
+
+
+def read_bits(path, texts: list[str]) -> np.ndarray:
+    """The bits of the doubles ``_read_json`` reads from the JSON array of ``texts``."""
+    path.write_text("[" + ",".join(texts) + "]")
+    return np.array(_read_json(path), dtype=float).view(np.uint64)
+
+
+def float_bits(texts: list[str]) -> np.ndarray:
+    return np.array([float(t) for t in texts]).view(np.uint64)
+
+
+# Every finite double, subnormals and both zeros included.
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+# Decimal numbers of up to 50 significant digits; JSON writes an integer
+# without a fraction, so the sign of -0 is not one of its doubles.
+DECIMALS = st.builds(
+    "{}{}.{}{}".format,
+    st.sampled_from(["", "-"]),
+    st.integers(0, 10**25 - 1),
+    st.text("0123456789", min_size=1, max_size=25),
+    st.one_of(st.just(""), st.integers(-360, 330).map("e{}".format)),
+).filter(lambda text: math.isfinite(float(text)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(FINITE, min_size=1, max_size=100))
+@example([0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308, 1.7976931348623157e308])
+def test_reader_gives_every_finite_double_its_own_bits(json_path, values):
+    texts = [repr(v) for v in values] + [f"{v:.25e}" for v in values]
+    assert np.array_equal(read_bits(json_path, texts), float_bits(texts))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(DECIMALS, min_size=1, max_size=100))
+@example(["9007199254740993.0", "2.4703282292062327e-324", "2.4703282292062328e-324", "1.7976931348623158e308"])
+@example(["0.1000000000000000055511151231257827", "7.2057594037927933e16", "-0.0e5"])
+def test_reader_rounds_long_decimals_as_float_does(json_path, texts):
+    assert np.array_equal(read_bits(json_path, texts), float_bits(texts))
